@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import EntpotError, KetError
+from .errors import EntpotError
 from .ket_parser import eval_ket, format_ket, load_ket_file, parse_ket
 from .mmes_search import MinimizeConfig, export_trace_csv, minimize_potential
 from .potential import DEFAULT_TOL, analyze
@@ -99,6 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class UsageError(Exception):
+    pass
+
+
 def _resolve_state(ns: argparse.Namespace) -> PureState:
     sources = [s for s in (ns.state, ns.expr, ns.file) if s is not None]
     if len(sources) != 1:
@@ -116,10 +120,6 @@ def _resolve_state(ns: argparse.Namespace) -> PureState:
         return load_ket_file(path, policy)
     raise EntpotError(f"unsupported state file extension {path.suffix!r} "
                       "(expected .json or .ket)")
-
-
-class UsageError(Exception):
-    pass
 
 
 def _cmd_analyze(ns) -> int:
@@ -243,9 +243,6 @@ def run(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"entpot: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except KetError as exc:
-        print(f"entpot: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except EntpotError as exc:
         print(f"entpot: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

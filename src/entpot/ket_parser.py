@@ -346,7 +346,9 @@ def _eval(node: KetAst) -> complex | np.ndarray:
 
 def eval_ket(ast: KetAst, normalize_policy: NormalizePolicy = "strict") -> PureState:
     """Evaluate a parsed expression down to a PureState."""
-    value = _eval(ast)
+    # overflow leaves non-finite amplitudes, which make_state rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _eval(ast)
     if not isinstance(value, np.ndarray):
         raise KetTypeError("expression evaluates to a scalar, not a state", ast.span)
     n = int(np.log2(value.size))

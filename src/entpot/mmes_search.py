@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateStateError, DimensionError
 from .qstate import PureState
-from .reduction import _index_table, balanced_subsets
+from .reduction import balanced_index, gram_purities
 
 #: Armijo sufficient-decrease constant, step shrink factor, initial step.
 ARMIJO = 1e-4
@@ -28,65 +29,71 @@ Method = Literal["projected_gradient", "anneal_then_polish"]
 
 
 def _decode(point: np.ndarray) -> tuple[np.ndarray, int]:
-    point = np.asarray(point, dtype=np.float64)
+    """Complex view of ``point``: interleaved re/im is complex128's own layout."""
+    point = np.ascontiguousarray(point, dtype=np.float64)
     if point.ndim != 1 or point.size < 8 or point.size & (point.size - 1):
         raise DimensionError(
             f"point must have length 2**(n+1) with n >= 2, got {point.shape}"
         )
     n = point.size.bit_length() - 2
-    return point[0::2] + 1j * point[1::2], n
+    return point.view(np.complex128), n
 
 
 def encode_state(state: PureState) -> np.ndarray:
     """Real encoding of a state's amplitudes (interleaved re/im)."""
-    out = np.empty(2 * state.dim)
-    out[0::2] = state.amplitudes.real
-    out[1::2] = state.amplitudes.imag
-    return out
+    return state.amplitudes.view(np.float64).copy()
 
 
-def _raw_potential(c: np.ndarray, n: int) -> float:
-    """Mean sum of |rho_A|^2 entries of the *unnormalized* vector c."""
-    total = 0.0
-    for subset in balanced_subsets(n):
-        m = c[_index_table(n, subset)]
-        rho = m @ m.conj().T
-        total += float(np.real(np.vdot(rho, rho)))
-    return total / len(balanced_subsets(n))
+@lru_cache(maxsize=None)
+def _scatter_index(n: int) -> np.ndarray:
+    """Inverse of each gather permutation in ``balanced_index(n)``, (S, 2^n).
+
+    Entries index the flattened (S, 2^k, 2^(n-k)) stack of blocks, so row s
+    takes block s back to basis order.
+    """
+    gather = balanced_index(n)
+    gather = gather.reshape(len(gather), -1)
+    scatter = np.argsort(gather, axis=1) + gather.shape[1] * np.arange(len(gather))[:, None]
+    scatter.flags.writeable = False
+    return scatter
+
+
+def _reduce(point: np.ndarray):
+    """Decode ``point`` and run the balanced-purity kernel on it.
+
+    Returns (c, n, |c|^2, gathered blocks M, rho, mean purity of the raw c).
+    The mean runs over the kernel's subsets only; for even n they leave out
+    the complements, whose purities are the same.
+    """
+    c, n = _decode(point)
+    norm_sq = float(np.real(np.vdot(c, c)))
+    if norm_sq == 0.0:
+        raise DegenerateStateError("zero point has no direction")
+    m = c[balanced_index(n)]
+    rho, purities = gram_purities(m)
+    return c, n, norm_sq, m, rho, float(purities.sum()) / len(purities)
 
 
 def objective(point: np.ndarray) -> float:
     """Potential of the normalized state encoded by ``point``; scale-invariant."""
-    c, n = _decode(point)
-    norm_sq = float(np.real(np.vdot(c, c)))
-    if norm_sq == 0.0:
-        raise DegenerateStateError("zero point has no direction")
-    return _raw_potential(c, n) / norm_sq**2
+    _, _, norm_sq, _, _, raw = _reduce(point)
+    return raw / norm_sq**2
+
+
+def value_and_gradient(point: np.ndarray) -> tuple[float, np.ndarray]:
+    """``objective`` and its exact gradient from one pass of the kernel."""
+    c, n, norm_sq, m, rho, raw = _reduce(point)
+    # d raw / dc* is the mean over subsets of 2 rho M, scattered back to the
+    # basis order. raw(c)/|c|^4 is homogeneous of degree 2 in c and c*, and
+    # the gradient in the (re, im) pairs is 2 d/dc*, read as interleaved reals.
+    g = np.take(rho @ m, _scatter_index(n)).sum(axis=0)
+    grad = (4.0 / len(m) / norm_sq**2) * g - (4.0 * raw / norm_sq**3) * c
+    return raw / norm_sq**2, grad.view(np.float64)
 
 
 def gradient(point: np.ndarray) -> np.ndarray:
     """Exact gradient of ``objective``; validated against central differences."""
-    c, n = _decode(point)
-    norm_sq = float(np.real(np.vdot(c, c)))
-    if norm_sq == 0.0:
-        raise DegenerateStateError("zero point has no direction")
-    subsets = balanced_subsets(n)
-    g = np.zeros_like(c)
-    raw = 0.0
-    for subset in subsets:
-        table = _index_table(n, subset)
-        m = c[table]
-        rho = m @ m.conj().T
-        raw += float(np.real(np.vdot(rho, rho)))
-        g[table] += 2.0 * (rho @ m)
-    raw /= len(subsets)
-    g /= len(subsets)
-    # d/dc* of raw(c)/|c|^4, with raw homogeneous of degree 2 in c and c*
-    dc = g / norm_sq**2 - (2.0 * raw / norm_sq**3) * c
-    out = np.empty_like(point, dtype=np.float64)
-    out[0::2] = 2.0 * dc.real
-    out[1::2] = 2.0 * dc.imag
-    return out
+    return value_and_gradient(point)[1]
 
 
 @dataclass(frozen=True)
@@ -145,12 +152,11 @@ def _projected_gradient(
 ) -> tuple[np.ndarray, float, list[tuple[int, float]], bool]:
     """Descent with backtracking line search; renormalize after every step."""
     p = _normalize(p)
-    f = objective(p)
+    f, g = value_and_gradient(p)
     if trace is None:
         trace = [(start_iter, f)]
     converged = False
     for it in range(start_iter + 1, start_iter + max_iters + 1):
-        g = gradient(p)
         g_sq = float(g @ g)
         if np.sqrt(g_sq) < GRAD_TOL:
             converged = True
@@ -158,7 +164,7 @@ def _projected_gradient(
         step, accepted = INITIAL_STEP, False
         while step >= step_tol:
             q = _normalize(p - step * g)
-            fq = objective(q)
+            fq, gq = value_and_gradient(q)
             if fq <= f - ARMIJO * step * g_sq:
                 accepted = True
                 break
@@ -167,7 +173,7 @@ def _projected_gradient(
             converged = True  # step tolerance reached
             break
         improvement = f - fq
-        p, f = q, fq
+        p, f, g = q, fq, gq
         trace.append((it, f))
         if improvement < objective_tol:
             converged = True  # objective stagnated below ftol

@@ -55,6 +55,8 @@ class PureState:
                 f"expected {1 << self.n_qubits} amplitudes for n={self.n_qubits}, "
                 f"got shape {amps.shape}"
             )
+        if not np.all(np.isfinite(amps)):
+            raise NormalizationError("amplitudes must be finite numbers")
         nrm = float(np.linalg.norm(amps))
         if abs(nrm - 1.0) > NORM_TOL:
             raise NormalizationError(f"state norm {nrm!r} is not 1 within {NORM_TOL}")
@@ -88,11 +90,16 @@ def make_state(
         raise DimensionError(
             f"expected {1 << n_qubits} amplitudes for n={n_qubits}, got {amps.size}"
         )
-    nrm = float(np.linalg.norm(amps))
-    if nrm == 0.0:
+    if not np.all(np.isfinite(amps)):
+        raise NormalizationError("amplitudes must be finite numbers")
+    # dividing by the largest modulus first keeps the squares in the norm
+    # from underflowing or overflowing
+    scale = float(np.max(np.abs(amps)))
+    if scale == 0.0:
         raise DegenerateStateError("all-zero amplitude vector")
     if normalize_policy == "renormalize":
-        amps = amps / nrm
+        amps = amps / scale
+        amps /= np.linalg.norm(amps)
     return PureState(n_qubits, amps)
 
 
@@ -217,7 +224,7 @@ def state_from_json_dict(
     if not isinstance(data, dict) or "n" not in data or "amplitudes" not in data:
         raise FormatError("state JSON must be an object with 'n' and 'amplitudes'")
     n = data["n"]
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise FormatError(f"'n' must be an integer, got {type(n).__name__}")
     pairs = data["amplitudes"]
     try:

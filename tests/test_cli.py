@@ -155,3 +155,26 @@ def test_unknown_subcommand_exit_64(capsys):
 def test_bad_minimize_config_exit_two(capsys):
     assert run(["minimize", "--n", "1"]) == 2
     capsys.readouterr()
+
+
+def test_nan_json_amplitudes_exit_two(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"n": 1, "amplitudes": [[NaN, 0], [0, 0]]}')
+    assert run(["check", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("entpot:") and "finite" in err
+
+
+def test_overflowing_expression_with_renormalize_exit_two(capsys):
+    assert run(["analyze", "--expr", "exp(1000)*|00>+|11>", "--renormalize"]) == 2
+    captured = capsys.readouterr()
+    assert "pi_ME" not in captured.out
+    assert captured.err.startswith("entpot:") and "finite" in captured.err
+
+
+def test_boolean_qubit_count_in_json_exit_two(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"n": True, "amplitudes": [[1, 0], [0, 0]]}))
+    assert run(["parse", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("entpot:") and "Traceback" not in err

@@ -11,6 +11,7 @@ from entpot.mmes_search import (
     gradient,
     minimize_potential,
     objective,
+    value_and_gradient,
 )
 from entpot.potential import pi_me
 from entpot.qstate import catalog_state
@@ -74,6 +75,25 @@ def test_gradient_matches_finite_differences():
             fd = finite_difference(point)
             g = gradient(point)
             assert np.linalg.norm(fd - g) / max(np.linalg.norm(fd), 1e-12) < 1e-5
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_value_and_gradient_matches_separate_calls(n):
+    rng = np.random.default_rng(131 + n)
+    point = rng.standard_normal(1 << (n + 1))
+    value, grad = value_and_gradient(point)
+    assert value == objective(point)
+    np.testing.assert_array_equal(grad, gradient(point))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_gradient_matches_finite_differences_larger_n(n):
+    rng = np.random.default_rng(97 + n)
+    for _ in range(2):
+        point = rng.standard_normal(1 << (n + 1))
+        fd = finite_difference(point)
+        g = gradient(point)
+        assert np.linalg.norm(fd - g) / max(np.linalg.norm(fd), 1e-12) < 1e-5
 
 
 def test_gradient_stationary_at_hs():

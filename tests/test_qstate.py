@@ -9,6 +9,7 @@ from entpot.errors import (
     CatalogMissError,
     DegenerateStateError,
     DimensionError,
+    FormatError,
     NonUnitaryError,
     NormalizationError,
     SubsetError,
@@ -66,6 +67,23 @@ def test_make_state_empty():
 def test_make_state_zero_vector():
     with pytest.raises(DegenerateStateError):
         make_state(2, [0, 0, 0, 0], "renormalize")
+
+
+@pytest.mark.parametrize("policy", ["strict", "renormalize"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_make_state_rejects_non_finite(policy, bad):
+    with pytest.raises(NormalizationError):
+        make_state(1, [bad, 0], policy)
+
+
+def test_pure_state_rejects_non_finite():
+    with pytest.raises(NormalizationError):
+        PureState(1, np.array([np.nan, 0]))
+
+
+def test_state_json_rejects_boolean_n():
+    with pytest.raises(FormatError):
+        state_from_json_dict({"n": True, "amplitudes": [[1, 0], [0, 0]]})
 
 
 def test_make_state_strict_norm_violation():

@@ -3,9 +3,12 @@ import pytest
 
 from entpot.errors import ArityError, SubsetError
 from entpot.qstate import catalog_state, make_state, random_state
+
+from helpers import random_amplitude_batch
 from entpot.reduction import (
     DensityMatrix,
     all_balanced_purities,
+    balanced_purities,
     balanced_subsets,
     purity,
     reduced_density,
@@ -150,3 +153,60 @@ def test_subset_order_and_duplicates_canonicalized():
     b = reduced_density(state, (1, 4, 4))
     assert a.kept_qubits == b.kept_qubits == (1, 4)
     np.testing.assert_array_equal(a.entries, b.entries)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_balanced_purities_match_per_subset(n):
+    rng = np.random.default_rng(400 + n)
+    state = random_state(n, rng)
+    batch = random_amplitude_batch(n, 3, rng)
+    single = balanced_purities(state.amplitudes, n)
+    stacked = balanced_purities(batch, n)
+    mapping = all_balanced_purities(state)
+    assert single.shape == (len(balanced_subsets(n)),)
+    assert stacked.shape == (3, len(balanced_subsets(n)))
+    assert list(mapping) == list(balanced_subsets(n))
+    for j, subset in enumerate(balanced_subsets(n)):
+        want = float(subset_purity(state.amplitudes, n, subset))
+        assert abs(single[j] - want) < 1e-13
+        assert abs(mapping[subset] - want) < 1e-13
+        np.testing.assert_allclose(
+            stacked[:, j], subset_purity(batch, n, subset), rtol=0, atol=1e-13
+        )
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_balanced_purities_complements_exactly_equal(n):
+    rng = np.random.default_rng(500 + n)
+    values = all_balanced_purities(random_state(n, rng))
+    everyone = set(range(1, n + 1))
+    for subset, value in values.items():
+        assert values[tuple(sorted(everyone - set(subset)))] == value
+
+
+def test_balanced_purities_short_last_chunk_and_real_input():
+    rng = np.random.default_rng(600)
+    batch = random_amplitude_batch(4, 700, rng)  # 341 states a chunk: 341, 341, 18
+    values = balanced_purities(batch, 4)
+    for j, subset in enumerate(balanced_subsets(4)):
+        np.testing.assert_allclose(values[:, j], subset_purity(batch, 4, subset),
+                                   rtol=0, atol=1e-13)
+    real = batch.real / np.linalg.norm(batch.real, axis=-1, keepdims=True)
+    np.testing.assert_array_equal(balanced_purities(real, 4),
+                                  balanced_purities(real.astype(complex), 4))
+
+
+def test_balanced_purities_agree_across_threads():
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(601)
+    states = [random_state(8, rng).amplitudes for _ in range(4)]
+    want = [balanced_purities(a, 8) for a in states]
+
+    def repeat(a):
+        return [balanced_purities(a, 8) for _ in range(50)]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for expected, runs in zip(want, pool.map(repeat, states)):
+            for got in runs:
+                np.testing.assert_array_equal(got, expected)
