@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -97,6 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(p_parse)
 
     return parser
+
+
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on first use; ``parse_args`` leaves it
+    unchanged and returns a new namespace per call."""
+    return build_parser()
 
 
 class UsageError(Exception):
@@ -233,9 +241,8 @@ _COMMANDS = {
 
 def run(argv: list[str]) -> int:
     """Parse arguments and execute; returns the process exit code."""
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,8 +1,17 @@
 """Explicit four-qubit purity formulas and the K1 + K2 criterion.
 
-Everything here works directly on the 16 amplitudes; no density matrix is
-ever materialized, so this module stays an independent route from the
-partial-trace oracle in ``reduction``.
+Everything here works directly on the 16 amplitudes, so this module stays an
+independent route from the partial-trace oracle in ``reduction``.
+
+For a balanced pair, bucket the amplitudes by kept-bit pattern x and
+traced-bit pattern z into a 4x4 block g. Its Gram entries
+G[x, y] = sum_z g[x, z] conj(g[y, z]) are the four squared group norms
+(x = y) and the six cross-overlaps (x < y), and the pair purity is
+sum_x G[x, x]^2 + 2 sum_{x<y} |G[x, y]|^2. One kernel gathers, for all six
+pairs at once, the block rows each of these ten entries needs and forms
+them in chunks of states, so its temporaries stay cache-sized whatever the
+batch. The pair purities weight the entries as above; K2 is twice the
+summed squared cross-overlaps of all six pairs, 36 terms.
 
 Convention: K is reported such that K = 2 * (3 * pi_ME - 1) on normalized
 states. Under this convention the known example values hold (K = 1 for the
@@ -14,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -56,16 +66,71 @@ def _require_four_qubits(state: PureState) -> np.ndarray:
     return state.amplitudes
 
 
+#: Gram entries a pair's closed forms use, as block row pairs (x, y): the
+#: diagonal, whose entries are the squared group norms, then the cross-overlaps.
+_ENTRIES = tuple((x, x) for x in range(4)) + _PATTERN_PAIRS
+#: Weight of |G[x, y]|^2 in a pair purity: once on the diagonal, twice above
+#: it for the mirrored entry below, since G is Hermitian.
+_PURITY_WEIGHTS = np.array([1.0] * 4 + [2.0] * 6)
+
+#: Gather tables (pair, entry, z) of the block rows x and y of every entry:
+#: ``amps[..., _ROWS_X]`` equals the stacked blocks ``amps[..., groups]``
+#: indexed at rows x, gathered in one step without the blocks in between.
+_ROWS_X, _ROWS_Y = (
+    np.stack([_pair_groups(pair)[list(rows)] for pair in PAIRS])
+    for rows in zip(*_ENTRIES)
+)
+#: The same tables for the cross-overlaps alone, which are all K2 needs.
+_CROSS_X, _CROSS_Y = (np.ascontiguousarray(t[:, 4:]) for t in (_ROWS_X, _ROWS_Y))
+
+#: States per chunk of the Gram kernel. A K2 chunk's two row gathers take
+#: 2.3 KiB per state each, 288 KiB at 128 states, and the product is formed
+#: in the first of them, so a chunk stays inside the L2 cache. Of 64..512,
+#: 128 was fastest for 10^3 and for 2x10^5 states: 1.2 ms and 0.24 s, against
+#: 1.4 ms and 0.28 s at 512 (2-vCPU Xeon, 2 MiB L2 per core, medians). From
+#: 192 up, a fresh process took about 900 page faults per 10^3-state call,
+#: where malloc mapped each chunk's temporaries anew; 128 took none.
+_CHUNK_STATES = 128
+
+
+def _gram(amps: np.ndarray, rows_x: np.ndarray, rows_y: np.ndarray) -> np.ndarray:
+    """Gram entries sum_z g[x, z] conj(g[y, z]) of the six pair blocks g, for
+    the row tables ``rows_x`` and ``rows_y``: shape (..., 6, entries)."""
+    left, right = amps[..., rows_x], amps[..., rows_y]
+    return np.multiply(left, np.conjugate(right, out=right), out=left).sum(axis=-1)
+
+
+def _k2_chunk(amps: np.ndarray) -> np.ndarray:
+    cross = _gram(amps, _CROSS_X, _CROSS_Y)
+    return 2.0 * np.einsum("...pk,...pk->...", cross, np.conj(cross)).real
+
+
+def _purities_chunk(amps: np.ndarray) -> np.ndarray:
+    gram = _gram(amps, _ROWS_X, _ROWS_Y)
+    return (gram.real**2 + gram.imag**2) @ _PURITY_WEIGHTS
+
+
+def _over_chunks(kernel, amps: np.ndarray) -> np.ndarray:
+    """``kernel`` over chunks of at most ``_CHUNK_STATES`` states of ``amps`` (..., 16)."""
+    amps = np.asarray(amps)
+    lead = amps.shape[:-1]
+    count = prod(lead)
+    if count <= _CHUNK_STATES:
+        return kernel(amps)
+    flat = amps.reshape(count, 16)
+    parts = [kernel(flat[start:start + _CHUNK_STATES])
+             for start in range(0, count, _CHUNK_STATES)]
+    return np.concatenate(parts).reshape(lead + parts[0].shape[1:])
+
+
+def _pair_purities(amps: np.ndarray) -> np.ndarray:
+    """The six balanced purities in ``PAIRS`` order, batched: (..., 16) -> (..., 6)."""
+    return _over_chunks(_purities_chunk, amps)
+
+
 def _pair_purity(amps: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     """One balanced purity: four squared group norms plus six doubled cross-overlaps."""
-    g = _pair_groups(pair)
-    grouped = amps[..., g]                      # (..., 4 patterns, 4 members)
-    norms = np.sum(np.abs(grouped) ** 2, axis=-1)
-    total = np.sum(norms**2, axis=-1)
-    for x, y in _PATTERN_PAIRS:
-        overlap = np.sum(grouped[..., x, :] * np.conj(grouped[..., y, :]), axis=-1)
-        total = total + 2.0 * np.abs(overlap) ** 2
-    return total
+    return _pair_purities(amps)[..., PAIRS.index(tuple(pair))]
 
 
 @dataclass(frozen=True)
@@ -108,8 +173,7 @@ class KDecomposition:
 
 def pair_purities(state: PureState) -> PairPurities:
     """All six balanced purities from the closed forms (no partial trace)."""
-    amps = _require_four_qubits(state)
-    return PairPurities(*(float(_pair_purity(amps, pair)) for pair in PAIRS))
+    return PairPurities(*_pair_purities(_require_four_qubits(state)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +196,7 @@ def _k2_terms() -> tuple[np.ndarray, np.ndarray]:
 
 def k2_of_amplitudes(amps: np.ndarray) -> np.ndarray:
     """Batched K2; ``amps`` has shape (..., 16)."""
-    left, right = _k2_terms()
-    overlaps = np.sum(amps[..., left] * np.conj(amps[..., right]), axis=-1)
-    return 2.0 * np.sum(np.abs(overlaps) ** 2, axis=-1)
+    return _over_chunks(_k2_chunk, amps)
 
 
 def k2_value(state: PureState) -> float:

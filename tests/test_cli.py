@@ -178,3 +178,27 @@ def test_boolean_qubit_count_in_json_exit_two(tmp_path, capsys):
     assert run(["parse", "--file", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("entpot:") and "Traceback" not in err
+
+
+def test_consecutive_runs_share_no_state(capsys):
+    """run builds its parser once; calls in a row must not see each other."""
+    assert run(["check", "--state", "hs/omega", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == "mmes"
+    assert captured.err == ""
+
+    assert run(["check", "--expr", "|01>+|0011>", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("entpot:") and "width" in captured.err
+
+    assert run(["analyze", "--state", "hs/omega", "--frobnicate"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--frobnicate" in captured.err
+
+    assert run(["analyze", "--expr", "(|00>+|11>)/sqrt(2)", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert data["n"] == 2 and abs(data["pi_me"] - 0.5) < 1e-12
+    assert "k_total" not in data
+    assert captured.err == ""

@@ -1,14 +1,19 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
+from entpot import closed_form
 from entpot.closed_form import (
     PAIR_WEIGHT_BY_DISTANCE,
     PAIRS,
     QUARTIC_WEIGHT,
     _k2_terms,
+    _pair_purities,
+    k1_of_amplitudes,
     k1_value,
+    k2_of_amplitudes,
     k2_value,
     k_total,
     k_total_of_amplitudes,
@@ -23,7 +28,9 @@ from entpot.k1_printed import (
 )
 from entpot.potential import pi_me
 from entpot.qstate import catalog_state, make_state, random_state
-from entpot.reduction import all_balanced_purities
+from entpot.reduction import all_balanced_purities, subset_purity
+
+from helpers import random_amplitude_batch
 
 S2 = 1 / np.sqrt(2)
 
@@ -129,6 +136,72 @@ def test_k2_spot_check_against_printed_blocks():
     for pair, (first, last) in _PRINTED_BLOCK_ENDS.items():
         assert frozenset(first) in blocks[pair]
         assert frozenset(last) in blocks[pair]
+
+
+def _k2_from_printed_terms(amps):
+    """K2 term by term from the 36-term listing: 2 sum_t |sum_j a[l_tj] conj(a[r_tj])|^2."""
+    left, right = _k2_terms()
+    total = np.zeros(amps.shape[:-1])
+    for l_row, r_row in zip(left, right):
+        overlap = sum(amps[..., i] * np.conj(amps[..., j]) for i, j in zip(l_row, r_row))
+        total += 2.0 * np.abs(overlap) ** 2
+    return total
+
+
+_CHUNK = closed_form._CHUNK_STATES
+
+
+@pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+def test_gram_route_matches_term_listing_and_oracle(count):
+    """Batches on both sides of each chunk edge: K2 equals the 36-term sum,
+    and the pair purities equal the partial-trace oracle's."""
+    amps = random_amplitude_batch(4, count, np.random.default_rng(count))
+    k2 = k2_of_amplitudes(amps)
+    assert k2.shape == (count,)
+    assert np.max(np.abs(k2 - _k2_from_printed_terms(amps))) < 1e-13
+    purities = _pair_purities(amps)
+    assert purities.shape == (count, 6)
+    for p, pair in enumerate(PAIRS):
+        assert np.max(np.abs(purities[:, p] - subset_purity(amps, 4, pair))) < 1e-12
+
+
+def test_closed_forms_keep_leading_axes():
+    amps = random_amplitude_batch(4, 6, np.random.default_rng(47)).reshape(2, 3, 16)
+    flat = amps.reshape(6, 16)
+    for func in (k1_of_amplitudes, k2_of_amplitudes, k_total_of_amplitudes):
+        out = func(amps)
+        assert out.shape == (2, 3)
+        np.testing.assert_allclose(out.reshape(6), func(flat), rtol=0, atol=1e-15)
+        single = func(flat[4])
+        assert np.shape(single) == ()
+        assert abs(single - out[1, 1]) < 1e-15
+    assert _pair_purities(amps).shape == (2, 3, 6)
+    assert _pair_purities(flat[0]).shape == (6,)
+
+
+def test_closed_forms_accept_real_input():
+    rng = np.random.default_rng(53)
+    for count in (1, 2 * _CHUNK + 3):
+        real = rng.standard_normal((count, 16))
+        real /= np.linalg.norm(real, axis=1, keepdims=True)
+        as_complex = real.astype(np.complex128)
+        assert np.max(np.abs(k2_of_amplitudes(real) - k2_of_amplitudes(as_complex))) < 1e-15
+        assert np.max(np.abs(_pair_purities(real) - _pair_purities(as_complex))) < 1e-15
+        assert np.max(np.abs(k_total_of_amplitudes(real)
+                             - k_total_of_amplitudes(as_complex))) < 1e-15
+
+
+def test_k_total_batch_memory_stays_near_input_size():
+    """The chunked Gram keeps K2's temporaries small: the traced peak of a
+    5x10^4-state K1 + K2 stays below twice the input."""
+    amps = random_amplitude_batch(4, 50_000, np.random.default_rng(59))
+    tracemalloc.start()
+    try:
+        k_total_of_amplitudes(amps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * amps.nbytes, f"peak {peak / 2**20:.1f} MiB, input {amps.nbytes / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
