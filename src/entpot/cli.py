@@ -35,6 +35,9 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_USAGE = 64
 
+#: ``minimize`` reports its one descent method, so its output keeps the ``method`` key.
+METHOD = "projected_gradient"
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 64."""
@@ -82,11 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--n", type=int, default=4, help="qubit count")
     p_min.add_argument("--restarts", type=int, default=20)
     p_min.add_argument("--seed", type=int, default=0)
-    p_min.add_argument(
-        "--method",
-        choices=("projected_gradient", "anneal_then_polish"),
-        default="projected_gradient",
-    )
     p_min.add_argument("--trace-csv", metavar="PATH", help="write trace samples as CSV")
 
     p_states = subs.add_parser("states", help="list or emit catalog states")
@@ -170,9 +168,7 @@ def _cmd_check(ns) -> int:
 
 
 def _cmd_minimize(ns) -> int:
-    config = MinimizeConfig(
-        n_qubits=ns.n, restarts=ns.restarts, seed=ns.seed, method=ns.method
-    )
+    config = MinimizeConfig(n_qubits=ns.n, restarts=ns.restarts, seed=ns.seed)
     result = minimize_potential(config)
     if ns.trace_csv:
         export_trace_csv(result, ns.trace_csv)
@@ -184,14 +180,14 @@ def _cmd_minimize(ns) -> int:
             "best_restart": result.best_restart,
             "converged": result.converged,
             "seed": result.seed,
-            "method": config.method,
+            "method": METHOD,
             "best_state": state_to_json_dict(result.best_state),
             "expr": expr,
         }))
         return EXIT_OK
     print(f"best value = {_fmt(result.best_value)}")
     print(f"best state = {expr}")
-    print(f"restarts = {config.restarts} (seed {result.seed}, method {config.method})")
+    print(f"restarts = {config.restarts} (seed {result.seed}, method {METHOD})")
     print(f"converged = {sum(result.converged)}/{config.restarts}")
     return EXIT_OK
 

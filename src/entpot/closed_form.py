@@ -220,21 +220,25 @@ QUARTIC_WEIGHT = 4.0
 
 @lru_cache(maxsize=None)
 def _k1_weight_matrix() -> np.ndarray:
-    w = np.zeros((16, 16))
+    """Symmetric W with K1 = p W p for p_i = |a_i|^2: the quartic weight on
+    the diagonal, half of each pair weight on either side of it."""
+    w = np.empty((16, 16))
     for i in range(16):
         for j in range(16):
-            if i != j:
-                w[i, j] = PAIR_WEIGHT_BY_DISTANCE[(i ^ j).bit_count()]
+            w[i, j] = (QUARTIC_WEIGHT if i == j
+                       else 0.5 * PAIR_WEIGHT_BY_DISTANCE[(i ^ j).bit_count()])
     w.flags.writeable = False
     return w
 
 
+def _k1_chunk(amps: np.ndarray) -> np.ndarray:
+    p = amps.real**2 + amps.imag**2
+    return np.einsum("...i,...i->...", p @ _k1_weight_matrix(), p)
+
+
 def k1_of_amplitudes(amps: np.ndarray) -> np.ndarray:
     """Batched K1; ``amps`` has shape (..., 16)."""
-    p = np.abs(amps) ** 2
-    w = _k1_weight_matrix()
-    pair_part = 0.5 * np.einsum("...i,ij,...j->...", p, w, p)
-    return QUARTIC_WEIGHT * np.sum(p**2, axis=-1) + pair_part
+    return _over_chunks(_k1_chunk, amps)
 
 
 def k1_value(state: PureState) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
 
 import numpy as np
 
@@ -18,14 +17,13 @@ from .errors import ConfigError, DegenerateStateError, DimensionError
 from .qstate import PureState
 from .reduction import balanced_index, gram_purities
 
-#: Armijo sufficient-decrease constant, step shrink factor, initial step.
+#: Armijo sufficient-decrease constant, step shrink factor, and the first
+#: step of a backtrack that has no Barzilai-Borwein step to start from.
 ARMIJO = 1e-4
 SHRINK = 0.5
 INITIAL_STEP = 1.0
 #: Gradient norm below which a restart is declared converged.
 GRAD_TOL = 1e-9
-
-Method = Literal["projected_gradient", "anneal_then_polish"]
 
 
 def _decode(point: np.ndarray) -> tuple[np.ndarray, int]:
@@ -104,7 +102,6 @@ class MinimizeConfig:
     step_tol: float = 1e-10
     objective_tol: float = 1e-12
     seed: int = 0
-    method: Method = "projected_gradient"
 
     def __post_init__(self):
         if self.n_qubits < 2:
@@ -113,8 +110,6 @@ class MinimizeConfig:
             raise ConfigError("restarts and max_iters must be positive")
         if self.step_tol <= 0 or self.objective_tol <= 0:
             raise ConfigError("tolerances must be positive")
-        if self.method not in ("projected_gradient", "anneal_then_polish"):
-            raise ConfigError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -143,25 +138,25 @@ def _normalize(p: np.ndarray) -> np.ndarray:
 
 
 def _projected_gradient(
-    p: np.ndarray,
-    max_iters: int,
-    step_tol: float,
-    objective_tol: float,
-    start_iter: int = 0,
-    trace: list[tuple[int, float]] | None = None,
+    p: np.ndarray, max_iters: int, step_tol: float, objective_tol: float
 ) -> tuple[np.ndarray, float, list[tuple[int, float]], bool]:
-    """Descent with backtracking line search; renormalize after every step."""
+    """Descent with backtracking line search; renormalize after every step.
+
+    Each backtrack starts at the Barzilai-Borwein step s.s / s.y of the last
+    accepted move (s = q - p, y = g_q - g), and at ``INITIAL_STEP`` on the
+    first iteration or when s.y <= 0 gives no positive curvature estimate.
+    """
     p = _normalize(p)
     f, g = value_and_gradient(p)
-    if trace is None:
-        trace = [(start_iter, f)]
+    trace = [(0, f)]
     converged = False
-    for it in range(start_iter + 1, start_iter + max_iters + 1):
+    first_step = INITIAL_STEP
+    for it in range(1, max_iters + 1):
         g_sq = float(g @ g)
         if np.sqrt(g_sq) < GRAD_TOL:
             converged = True
             break
-        step, accepted = INITIAL_STEP, False
+        step, accepted = first_step, False
         while step >= step_tol:
             q = _normalize(p - step * g)
             fq, gq = value_and_gradient(q)
@@ -172,6 +167,9 @@ def _projected_gradient(
         if not accepted:
             converged = True  # step tolerance reached
             break
+        s, y = q - p, gq - g
+        sy = float(s @ y)
+        first_step = float(s @ s) / sy if sy > 0 else INITIAL_STEP
         improvement = f - fq
         p, f, g = q, fq, gq
         trace.append((it, f))
@@ -179,35 +177,6 @@ def _projected_gradient(
             converged = True  # objective stagnated below ftol
             break
     return p, f, trace, converged
-
-
-def _anneal_then_polish(
-    p: np.ndarray,
-    rng: np.random.Generator,
-    max_iters: int,
-    step_tol: float,
-    objective_tol: float,
-) -> tuple[np.ndarray, float, list[tuple[int, float]], bool]:
-    """Temperature-ladder random walk on the sphere, then gradient polish."""
-    p = _normalize(p)
-    f = objective(p)
-    trace = [(0, f)]
-    anneal_iters = min(400, max_iters // 2)
-    temperatures = np.geomspace(1e-1, 1e-4, num=8)
-    per_temp = max(1, anneal_iters // len(temperatures))
-    it = 0
-    for temp in temperatures:
-        sigma = np.sqrt(temp)
-        for _ in range(per_temp):
-            it += 1
-            q = _normalize(p + sigma * rng.standard_normal(p.size))
-            fq = objective(q)
-            if fq <= f or rng.random() < np.exp(-(fq - f) / temp):
-                p, f = q, fq
-            trace.append((it, f))
-    return _projected_gradient(
-        p, max_iters - it, step_tol, objective_tol, start_iter=it, trace=trace
-    )
 
 
 def minimize_potential(config: MinimizeConfig) -> MinimizeResult:
@@ -223,16 +192,10 @@ def minimize_potential(config: MinimizeConfig) -> MinimizeResult:
     converged: list[bool] = []
     best: tuple[float, int, np.ndarray] | None = None
     for r in range(config.restarts):
-        rng = np.random.default_rng([u_seed, r])
-        start = rng.standard_normal(dim)
-        if config.method == "projected_gradient":
-            p, f, trace, ok = _projected_gradient(
-                start, config.max_iters, config.step_tol, config.objective_tol
-            )
-        else:
-            p, f, trace, ok = _anneal_then_polish(
-                start, rng, config.max_iters, config.step_tol, config.objective_tol
-            )
+        start = np.random.default_rng([u_seed, r]).standard_normal(dim)
+        p, f, trace, ok = _projected_gradient(
+            start, config.max_iters, config.step_tol, config.objective_tol
+        )
         traces.append(trace)
         converged.append(ok)
         if best is None or f < best[0]:

@@ -147,6 +147,11 @@ def test_unknown_flag_exit_64(capsys):
     capsys.readouterr()
 
 
+def test_removed_method_flag_exit_64(capsys):
+    assert run(["minimize", "--method", "projected_gradient"]) == 64
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exit_64(capsys):
     assert run(["explode"]) == 64
     capsys.readouterr()

@@ -204,6 +204,19 @@ def test_k_total_batch_memory_stays_near_input_size():
     assert peak < 2 * amps.nbytes, f"peak {peak / 2**20:.1f} MiB, input {amps.nbytes / 2**20:.1f} MiB"
 
 
+def test_k1_batch_memory_stays_small():
+    """K1 runs through the same chunks: its traced peak on 5x10^4 states stays
+    below a quarter of the input."""
+    amps = random_amplitude_batch(4, 50_000, np.random.default_rng(61))
+    tracemalloc.start()
+    try:
+        k1_of_amplitudes(amps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < amps.nbytes / 4, f"peak {peak / 2**20:.1f} MiB, input {amps.nbytes / 2**20:.1f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # K1
 # ---------------------------------------------------------------------------

@@ -141,23 +141,23 @@ def test_traces_monotone_for_projected_gradient():
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def test_minimize_four_qubits_every_restart_reaches_one_third():
+    result = minimize_potential(MinimizeConfig(n_qubits=4, restarts=20, seed=0))
+    assert all(abs(v - 1 / 3) < 1e-9 for v in result.final_values)
+
+
+@pytest.mark.parametrize("n, restarts", [(2, 5), (3, 10)])
+def test_small_n_restarts_take_few_iterations(n, restarts):
+    result = minimize_potential(MinimizeConfig(n_qubits=n, restarts=restarts, seed=3))
+    assert all(trace[-1][0] <= 100 for trace in result.traces)
+
+
 def test_best_value_consistency():
     result = minimize_potential(MinimizeConfig(n_qubits=4, restarts=4, seed=21))
     assert abs(result.best_value - pi_me(result.best_state)) < 1e-12
     assert abs(result.best_state.norm() - 1.0) < 1e-12
     assert all(result.best_value <= v + 1e-15 for v in result.final_values)
     assert result.seed == 21
-
-
-def test_anneal_then_polish_runs_and_is_deterministic():
-    config = MinimizeConfig(
-        n_qubits=3, restarts=3, seed=77, method="anneal_then_polish"
-    )
-    a = minimize_potential(config)
-    b = minimize_potential(config)
-    assert a.best_value == b.best_value
-    assert a.traces == b.traces
-    assert abs(a.best_value - 0.5) < 1e-6
 
 
 def test_config_validation():
@@ -167,8 +167,6 @@ def test_config_validation():
         MinimizeConfig(n_qubits=4, restarts=0)
     with pytest.raises(ConfigError):
         MinimizeConfig(n_qubits=4, step_tol=0.0)
-    with pytest.raises(ConfigError):
-        MinimizeConfig(n_qubits=4, method="newton")
 
 
 def test_trace_csv_export(tmp_path):
