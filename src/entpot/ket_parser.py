@@ -22,6 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import (
+    FormatError,
     KetEvalError,
     KetSyntaxError,
     KetTypeError,
@@ -399,5 +400,8 @@ def strip_ket_comments(text: str) -> str:
 
 def load_ket_file(path, normalize_policy: NormalizePolicy = "strict") -> PureState:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"ket file is not valid UTF-8: {exc}") from exc
     return eval_ket(parse_ket(strip_ket_comments(text)), normalize_policy)

@@ -24,6 +24,11 @@ SHRINK = 0.5
 INITIAL_STEP = 1.0
 #: Gradient norm below which a restart is declared converged.
 GRAD_TOL = 1e-9
+#: Iteration cap per restart, the smallest backtracking step tried, and the
+#: objective decrease below which a restart counts as stagnated.
+MAX_ITERS = 5000
+STEP_TOL = 1e-10
+OBJECTIVE_TOL = 1e-12
 
 
 def _decode(point: np.ndarray) -> tuple[np.ndarray, int]:
@@ -56,31 +61,22 @@ def _scatter_index(n: int) -> np.ndarray:
     return scatter
 
 
-def _reduce(point: np.ndarray):
-    """Decode ``point`` and run the balanced-purity kernel on it.
+def objective(point: np.ndarray) -> float:
+    """Potential of the normalized state encoded by ``point``; scale-invariant."""
+    return value_and_gradient(point)[0]
 
-    Returns (c, n, |c|^2, gathered blocks M, rho, mean purity of the raw c).
-    The mean runs over the kernel's subsets only; for even n they leave out
-    the complements, whose purities are the same.
-    """
+
+def value_and_gradient(point: np.ndarray) -> tuple[float, np.ndarray]:
+    """``objective`` and its exact gradient from one pass of the kernel."""
     c, n = _decode(point)
     norm_sq = float(np.real(np.vdot(c, c)))
     if norm_sq == 0.0:
         raise DegenerateStateError("zero point has no direction")
     m = c[balanced_index(n)]
     rho, purities = gram_purities(m)
-    return c, n, norm_sq, m, rho, float(purities.sum()) / len(purities)
-
-
-def objective(point: np.ndarray) -> float:
-    """Potential of the normalized state encoded by ``point``; scale-invariant."""
-    _, _, norm_sq, _, _, raw = _reduce(point)
-    return raw / norm_sq**2
-
-
-def value_and_gradient(point: np.ndarray) -> tuple[float, np.ndarray]:
-    """``objective`` and its exact gradient from one pass of the kernel."""
-    c, n, norm_sq, m, rho, raw = _reduce(point)
+    # Mean purity of the raw c over the kernel's subsets only; for even n
+    # they leave out the complements, whose purities are the same.
+    raw = float(purities.sum()) / len(purities)
     # d raw / dc* is the mean over subsets of 2 rho M, scattered back to the
     # basis order. raw(c)/|c|^4 is homogeneous of degree 2 in c and c*, and
     # the gradient in the (re, im) pairs is 2 d/dc*, read as interleaved reals.
@@ -98,18 +94,13 @@ def gradient(point: np.ndarray) -> np.ndarray:
 class MinimizeConfig:
     n_qubits: int
     restarts: int = 20
-    max_iters: int = 5000
-    step_tol: float = 1e-10
-    objective_tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
         if self.n_qubits < 2:
             raise ConfigError(f"n_qubits must be >= 2, got {self.n_qubits}")
-        if self.restarts < 1 or self.max_iters < 1:
-            raise ConfigError("restarts and max_iters must be positive")
-        if self.step_tol <= 0 or self.objective_tol <= 0:
-            raise ConfigError("tolerances must be positive")
+        if self.restarts < 1:
+            raise ConfigError("restarts must be positive")
 
 
 @dataclass(frozen=True)
@@ -138,7 +129,7 @@ def _normalize(p: np.ndarray) -> np.ndarray:
 
 
 def _projected_gradient(
-    p: np.ndarray, max_iters: int, step_tol: float, objective_tol: float
+    p: np.ndarray,
 ) -> tuple[np.ndarray, float, list[tuple[int, float]], bool]:
     """Descent with backtracking line search; renormalize after every step.
 
@@ -151,13 +142,13 @@ def _projected_gradient(
     trace = [(0, f)]
     converged = False
     first_step = INITIAL_STEP
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         g_sq = float(g @ g)
         if np.sqrt(g_sq) < GRAD_TOL:
             converged = True
             break
         step, accepted = first_step, False
-        while step >= step_tol:
+        while step >= STEP_TOL:
             q = _normalize(p - step * g)
             fq, gq = value_and_gradient(q)
             if fq <= f - ARMIJO * step * g_sq:
@@ -173,7 +164,7 @@ def _projected_gradient(
         improvement = f - fq
         p, f, g = q, fq, gq
         trace.append((it, f))
-        if improvement < objective_tol:
+        if improvement < OBJECTIVE_TOL:
             converged = True  # objective stagnated below ftol
             break
     return p, f, trace, converged
@@ -193,9 +184,7 @@ def minimize_potential(config: MinimizeConfig) -> MinimizeResult:
     best: tuple[float, int, np.ndarray] | None = None
     for r in range(config.restarts):
         start = np.random.default_rng([u_seed, r]).standard_normal(dim)
-        p, f, trace, ok = _projected_gradient(
-            start, config.max_iters, config.step_tol, config.objective_tol
-        )
+        p, f, trace, ok = _projected_gradient(start)
         traces.append(trace)
         converged.append(ok)
         if best is None or f < best[0]:

@@ -75,8 +75,8 @@ def analyze(state: PureState, tol: float = DEFAULT_TOL) -> BipartitionReport:
     ``tol`` of zero); other sizes are compared against a registered lower
     bound when one exists, and otherwise reported without a claim.
     """
-    if tol <= 0:
-        raise ConfigError(f"tolerance must be positive, got {tol}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tolerance must be finite and positive, got {tol}")
     purities = all_balanced_purities(state)
     potential = float(np.mean(list(purities.values())))
     n = state.n_qubits

@@ -240,4 +240,6 @@ def load_state_json(path, normalize_policy: NormalizePolicy = "strict") -> PureS
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON in state file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"state file is not valid UTF-8: {exc}") from exc
     return state_from_json_dict(data, normalize_policy)

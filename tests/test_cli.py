@@ -170,6 +170,26 @@ def test_nan_json_amplitudes_exit_two(tmp_path, capsys):
     assert err.startswith("entpot:") and "finite" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exit_two(tol, capsys):
+    assert run(["check", "--state", "hs/omega", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("entpot:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name, data", [
+    ("bad.ket", b"\xff\xfe|01>"),
+    ("bad.json", b'{"n": 1, \xff}'),
+], ids=["ket", "json"])
+def test_non_utf8_state_file_exit_two(name, data, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert run(["analyze", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("entpot:") and "UTF-8" in err and "Traceback" not in err
+
+
 def test_overflowing_expression_with_renormalize_exit_two(capsys):
     assert run(["analyze", "--expr", "exp(1000)*|00>+|11>", "--renormalize"]) == 2
     captured = capsys.readouterr()

@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
+from entpot import mmes_search
 from entpot.errors import ConfigError, DegenerateStateError, DimensionError
 from entpot.mmes_search import (
     MinimizeConfig,
@@ -165,8 +167,17 @@ def test_config_validation():
         MinimizeConfig(n_qubits=1)
     with pytest.raises(ConfigError):
         MinimizeConfig(n_qubits=4, restarts=0)
-    with pytest.raises(ConfigError):
-        MinimizeConfig(n_qubits=4, step_tol=0.0)
+    # The stop rules are module constants, not per-call settings.
+    assert [f.name for f in dataclasses.fields(MinimizeConfig)] == ["n_qubits", "restarts", "seed"]
+    with pytest.raises(TypeError):
+        MinimizeConfig(n_qubits=4, max_iters=10)
+
+
+def test_iteration_cap_leaves_restarts_unconverged(monkeypatch):
+    monkeypatch.setattr(mmes_search, "MAX_ITERS", 1)
+    result = minimize_potential(MinimizeConfig(n_qubits=4, restarts=3, seed=0))
+    assert result.converged == [False, False, False]
+    assert [len(t) for t in result.traces] == [2, 2, 2]
 
 
 def test_trace_csv_export(tmp_path):

@@ -112,8 +112,9 @@ def test_json_schema():
 
 
 def test_bad_tolerance():
-    with pytest.raises(ConfigError):
-        analyze(catalog_state("hs", "omega"), 0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            analyze(catalog_state("hs", "omega"), tol)
 
 
 def test_report_is_dataclass_with_expected_fields():
