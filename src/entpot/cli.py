@@ -6,7 +6,8 @@ minimization), ``states`` (catalog listing/emission), ``parse``
 (expression validation).
 
 Exit codes: 0 success (or verdict yes), 1 verdict no, 2 parse/validation
-error, 3 I/O error, 64 usage error.
+error, including input above ``qstate.MAX_QUBITS`` qubits and running out
+of memory, 3 I/O error, 64 usage error.
 """
 from __future__ import annotations
 
@@ -45,6 +46,15 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def _get_values(self, action, arg_strings):
+        # argparse in some Python versions drops a '--' that is an option's own value,
+        # as in --expr=--, and returns an empty list; keep it as the value
+        if arg_strings == ["--"] and action.option_strings and action.nargs is None:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
 
 def _fmt(x: float) -> str:
@@ -179,6 +189,8 @@ def _cmd_minimize(ns) -> int:
             "best_value": result.best_value,
             "best_restart": result.best_restart,
             "converged": result.converged,
+            "stop_reasons": result.stop_reasons,
+            "evaluations": result.evaluations,
             "seed": result.seed,
             "method": METHOD,
             "best_state": state_to_json_dict(result.best_state),
@@ -248,6 +260,10 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE
     except EntpotError as exc:
         print(f"entpot: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"entpot: out of memory{detail}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"entpot: {exc}", file=sys.stderr)

@@ -54,7 +54,7 @@ class KetSyntaxError(KetError, ValueError):
 
 
 class KetWidthError(KetSyntaxError):
-    """Ket literals of different bit widths mixed in one expression."""
+    """Ket literals of different bit widths in one expression, or wider than MAX_QUBITS."""
 
 
 class KetTypeError(KetError, TypeError):

@@ -28,7 +28,7 @@ from .errors import (
     KetTypeError,
     KetWidthError,
 )
-from .qstate import OMEGA, NormalizePolicy, PureState, make_state
+from .qstate import MAX_QUBITS, OMEGA, NormalizePolicy, PureState, make_state
 
 Span = tuple[int, int]
 
@@ -291,7 +291,12 @@ def parse_ket(text: str) -> KetAst:
     if trailing.kind != "eof":
         raise KetSyntaxError("unexpected trailing input", trailing.span)
     widths = list(_ket_literals(ast))
-    for lit in widths[1:]:
+    for lit in widths:
+        if len(lit.bits) > MAX_QUBITS:
+            raise KetWidthError(
+                f"ket width {len(lit.bits)} exceeds the limit of {MAX_QUBITS} qubits",
+                lit.span,
+            )
         if len(lit.bits) != len(widths[0].bits):
             raise KetWidthError(
                 f"ket width {len(lit.bits)} does not match width {len(widths[0].bits)}",

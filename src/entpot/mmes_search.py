@@ -4,18 +4,27 @@ States are encoded as raw real vectors of length 2**(n+1) (interleaved
 real/imaginary parts). The objective normalizes internally, so it is
 invariant under scaling of the point and its gradient is automatically
 tangential to the sphere; projection is a single renormalization.
+
+An evaluation runs in two passes over the kernel's blocks. The value pass
+gathers the blocks M of every balanced subset, forms rho = M M^H with
+``reduction.gram`` and sums Tr rho^2 as one dot product. The gradient pass
+reuses that M and rho for rho M and scatters it back to basis order. The
+descent gives every Armijo trial point a value pass and only the accepted
+point a gradient pass.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
 from functools import lru_cache
+from math import sqrt
+from typing import Literal
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateStateError, DimensionError
-from .qstate import PureState
-from .reduction import balanced_index, gram_purities
+from .qstate import MAX_QUBITS, PureState
+from .reduction import balanced_index, gram
 
 #: Armijo sufficient-decrease constant, step shrink factor, and the first
 #: step of a backtrack that has no Barzilai-Borwein step to start from.
@@ -29,6 +38,8 @@ GRAD_TOL = 1e-9
 MAX_ITERS = 5000
 STEP_TOL = 1e-10
 OBJECTIVE_TOL = 1e-12
+
+StopReason = Literal["grad_tol", "step_tol", "ftol", "max_iters"]
 
 
 def _decode(point: np.ndarray) -> tuple[np.ndarray, int]:
@@ -61,28 +72,46 @@ def _scatter_index(n: int) -> np.ndarray:
     return scatter
 
 
-def objective(point: np.ndarray) -> float:
-    """Potential of the normalized state encoded by ``point``; scale-invariant."""
-    return value_and_gradient(point)[0]
-
-
-def value_and_gradient(point: np.ndarray) -> tuple[float, np.ndarray]:
-    """``objective`` and its exact gradient from one pass of the kernel."""
-    c, n = _decode(point)
-    norm_sq = float(np.real(np.vdot(c, c)))
+def _value_pass(c: np.ndarray, n: int) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """``objective`` at the complex point c, with the blocks M, rho = M M^H and
+    |c|^2 that ``_gradient_pass`` reuses at the same point."""
+    norm_sq = float(np.vdot(c, c).real)
     if norm_sq == 0.0:
         raise DegenerateStateError("zero point has no direction")
     m = c[balanced_index(n)]
-    rho, purities = gram_purities(m)
-    # Mean purity of the raw c over the kernel's subsets only; for even n
-    # they leave out the complements, whose purities are the same.
-    raw = float(purities.sum()) / len(purities)
-    # d raw / dc* is the mean over subsets of 2 rho M, scattered back to the
-    # basis order. raw(c)/|c|^4 is homogeneous of degree 2 in c and c*, and
-    # the gradient in the (re, im) pairs is 2 d/dc*, read as interleaved reals.
-    g = np.take(rho @ m, _scatter_index(n)).sum(axis=0)
-    grad = (4.0 / len(m) / norm_sq**2) * g - (4.0 * raw / norm_sq**3) * c
-    return raw / norm_sq**2, grad.view(np.float64)
+    rho = gram(m)
+    # Mean purity of the raw c over the kernel's subsets only (for even n
+    # they leave out the complements, whose purities are the same): the
+    # summed Tr rho^2 is one dot of rho's interleaved re/im parts.
+    parts = rho.view(np.float64).ravel()
+    raw = float(parts @ parts) / len(m)
+    return raw / norm_sq**2, m, rho, norm_sq
+
+
+def _gradient_pass(c: np.ndarray, n: int, value: float, m: np.ndarray,
+                   rho: np.ndarray, norm_sq: float) -> np.ndarray:
+    """Exact gradient at c, as interleaved reals, from ``_value_pass(c, n)``.
+
+    d raw / dc* is the mean over subsets of 2 rho M, scattered back to the
+    basis order. raw(c)/|c|^4 is homogeneous of degree 2 in c and c*, and the
+    gradient in the (re, im) pairs is 2 d/dc*.
+    """
+    g = (rho @ m).take(_scatter_index(n)).sum(axis=0)
+    g *= 4.0 / len(m) / norm_sq**2
+    g -= (4.0 * value / norm_sq) * c
+    return g.view(np.float64)
+
+
+def objective(point: np.ndarray) -> float:
+    """Potential of the normalized state encoded by ``point``; scale-invariant."""
+    return _value_pass(*_decode(point))[0]
+
+
+def value_and_gradient(point: np.ndarray) -> tuple[float, np.ndarray]:
+    """``objective`` and its exact gradient: the value pass, then the gradient pass."""
+    c, n = _decode(point)
+    value, m, rho, norm_sq = _value_pass(c, n)
+    return value, _gradient_pass(c, n, value, m, rho, norm_sq)
 
 
 def gradient(point: np.ndarray) -> np.ndarray:
@@ -97,27 +126,35 @@ class MinimizeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_qubits < 2:
-            raise ConfigError(f"n_qubits must be >= 2, got {self.n_qubits}")
+        if not 2 <= self.n_qubits <= MAX_QUBITS:
+            raise ConfigError(f"n_qubits must be in 2..{MAX_QUBITS}, got {self.n_qubits}")
         if self.restarts < 1:
             raise ConfigError("restarts must be positive")
 
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Best state found plus per-restart traces.
+    """Best state found plus per-restart traces, stop reasons and value passes.
 
-    ``converged[r]`` is True when restart r hit a stopping tolerance
-    (gradient norm, step size, or objective stagnation) rather than the
-    iteration cap.
+    ``stop_reasons[r]`` says why restart r stopped: ``grad_tol`` (gradient
+    norm below ``GRAD_TOL``), ``step_tol`` (no step down to ``STEP_TOL``
+    passed the Armijo test), ``ftol`` (accepted decrease below
+    ``OBJECTIVE_TOL``) or ``max_iters``. ``evaluations[r]`` counts its value
+    passes, one per trial point; the gradient pass runs once per accepted one.
     """
 
     best_state: PureState
     best_value: float
     best_restart: int
     traces: list[list[tuple[int, float]]]
-    converged: list[bool]
+    stop_reasons: list[StopReason]
+    evaluations: list[int]
     seed: int
+
+    @property
+    def converged(self) -> list[bool]:
+        """Whether each restart hit a stopping tolerance rather than the cap."""
+        return [reason != "max_iters" for reason in self.stop_reasons]
 
     @property
     def final_values(self) -> list[float]:
@@ -125,39 +162,49 @@ class MinimizeResult:
 
 
 def _normalize(p: np.ndarray) -> np.ndarray:
-    return p / np.linalg.norm(p)
+    # bitwise np.linalg.norm's 2-norm of a real vector, without its dispatch
+    return p / sqrt(p @ p)
 
 
 def _projected_gradient(
-    p: np.ndarray,
-) -> tuple[np.ndarray, float, list[tuple[int, float]], bool]:
+    point: np.ndarray,
+) -> tuple[np.ndarray, float, list[tuple[int, float]], StopReason, int]:
     """Descent with backtracking line search; renormalize after every step.
 
     Each backtrack starts at the Barzilai-Borwein step s.s / s.y of the last
     accepted move (s = q - p, y = g_q - g), and at ``INITIAL_STEP`` on the
     first iteration or when s.y <= 0 gives no positive curvature estimate.
+    Every trial point gets a value pass; only the accepted one a gradient
+    pass. Returns the final point, its value, the trace, the stop reason and
+    the number of value passes.
     """
-    p = _normalize(p)
-    f, g = value_and_gradient(p)
+    start, n = _decode(point)
+    p = _normalize(start.view(np.float64))
+    c = p.view(np.complex128)
+    f, m, rho, norm_sq = _value_pass(c, n)
+    g = _gradient_pass(c, n, f, m, rho, norm_sq)
+    evaluations = 1
     trace = [(0, f)]
-    converged = False
+    reason: StopReason = "max_iters"
     first_step = INITIAL_STEP
     for it in range(1, MAX_ITERS + 1):
         g_sq = float(g @ g)
-        if np.sqrt(g_sq) < GRAD_TOL:
-            converged = True
+        if sqrt(g_sq) < GRAD_TOL:
+            reason = "grad_tol"
             break
-        step, accepted = first_step, False
+        step = first_step
         while step >= STEP_TOL:
             q = _normalize(p - step * g)
-            fq, gq = value_and_gradient(q)
+            qc = q.view(np.complex128)
+            fq, m, rho, norm_sq = _value_pass(qc, n)
+            evaluations += 1
             if fq <= f - ARMIJO * step * g_sq:
-                accepted = True
                 break
             step *= SHRINK
-        if not accepted:
-            converged = True  # step tolerance reached
+        else:
+            reason = "step_tol"
             break
+        gq = _gradient_pass(qc, n, fq, m, rho, norm_sq)
         s, y = q - p, gq - g
         sy = float(s @ y)
         first_step = float(s @ s) / sy if sy > 0 else INITIAL_STEP
@@ -165,9 +212,9 @@ def _projected_gradient(
         p, f, g = q, fq, gq
         trace.append((it, f))
         if improvement < OBJECTIVE_TOL:
-            converged = True  # objective stagnated below ftol
+            reason = "ftol"
             break
-    return p, f, trace, converged
+    return p, f, trace, reason, evaluations
 
 
 def minimize_potential(config: MinimizeConfig) -> MinimizeResult:
@@ -180,20 +227,22 @@ def minimize_potential(config: MinimizeConfig) -> MinimizeResult:
     dim = 1 << (config.n_qubits + 1)
     u_seed = config.seed & 0xFFFFFFFFFFFFFFFF
     traces: list[list[tuple[int, float]]] = []
-    converged: list[bool] = []
+    reasons: list[StopReason] = []
+    evaluations: list[int] = []
     best: tuple[float, int, np.ndarray] | None = None
     for r in range(config.restarts):
         start = np.random.default_rng([u_seed, r]).standard_normal(dim)
-        p, f, trace, ok = _projected_gradient(start)
+        p, f, trace, reason, evals = _projected_gradient(start)
         traces.append(trace)
-        converged.append(ok)
+        reasons.append(reason)
+        evaluations.append(evals)
         if best is None or f < best[0]:
             best = (f, r, p)
     assert best is not None
     f_best, r_best, p_best = best
     c, _ = _decode(p_best)
     state = PureState(config.n_qubits, c / np.linalg.norm(c))
-    return MinimizeResult(state, f_best, r_best, traces, converged, config.seed)
+    return MinimizeResult(state, f_best, r_best, traces, reasons, evaluations, config.seed)
 
 
 def export_trace_csv(result: MinimizeResult, path) -> None:

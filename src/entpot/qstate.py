@@ -27,12 +27,23 @@ from .errors import (
 #: as short decimal literals (e.g. 0.40824829 for 1/sqrt(6)).
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-12
+#: Largest qubit count any input path accepts. At n = 14 the stacked gather
+#: index of the balanced subsets alone takes about 225 MB.
+MAX_QUBITS = 14
 
 #: Primitive cube root of unity. Built from pi so that downstream phase
 #: cancellations hold to ~1e-15 instead of the ~1e-8 a decimal literal gives.
 OMEGA = np.exp(2j * np.pi / 3)
 
 NormalizePolicy = Literal["strict", "renormalize"]
+
+
+def _check_qubit_count(n_qubits: int) -> None:
+    """Reject a qubit count outside 1..MAX_QUBITS before anything is allocated."""
+    if n_qubits < 1:
+        raise DimensionError(f"n_qubits must be >= 1, got {n_qubits}")
+    if n_qubits > MAX_QUBITS:
+        raise DimensionError(f"{n_qubits} qubits exceed the limit of {MAX_QUBITS}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +58,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise DimensionError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        _check_qubit_count(self.n_qubits)
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size != 1 << self.n_qubits:
             raise DimensionError(
@@ -83,8 +93,7 @@ def make_state(
     """
     if normalize_policy not in ("strict", "renormalize"):
         raise ValueError(f"unknown normalize_policy {normalize_policy!r}")
-    if n_qubits < 1:
-        raise DimensionError(f"n_qubits must be >= 1, got {n_qubits}")
+    _check_qubit_count(n_qubits)
     amps = np.asarray(list(amplitudes), dtype=np.complex128)
     if amps.size != 1 << n_qubits:
         raise DimensionError(
@@ -226,11 +235,15 @@ def state_from_json_dict(
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise FormatError(f"'n' must be an integer, got {type(n).__name__}")
+    _check_qubit_count(n)
     pairs = data["amplitudes"]
     try:
-        amps = [complex(float(re), float(im)) for re, im in pairs]
-    except (TypeError, ValueError) as exc:
-        raise FormatError("'amplitudes' must be a list of [re, im] pairs") from exc
+        # complex(re, im) takes no strings, so "10" is not read as the pair (1, 0)
+        amps = [complex(re, im) for re, im in pairs]
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int beyond float
+        raise FormatError(
+            "'amplitudes' must be a list of [re, im] pairs of numbers in the float range"
+        ) from exc
     return make_state(n, amps, normalize_policy)
 
 

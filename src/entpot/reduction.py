@@ -93,19 +93,28 @@ def balanced_index(n: int) -> np.ndarray:
     subsets = balanced_subsets(n)
     if n % 2 == 0:
         subsets = subsets[: len(subsets) // 2]
-    index = np.stack([_gather_index(n, subset) for subset in subsets])
+    # filled row by row: a list of rows for np.stack would double the peak
+    index = np.empty((len(subsets), 1 << (n // 2), 1 << (n - n // 2)), dtype=np.intp)
+    for row, subset in zip(index, subsets):
+        row[...] = _gather_index(n, subset)
     index.flags.writeable = False
     return index
 
 
-def gram_purities(m: np.ndarray, conj: np.ndarray | None = None,
-                  rho: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """rho = M M^H over the last two axes of gathered blocks M, and Tr rho^2.
+def gram(m: np.ndarray, conj: np.ndarray | None = None,
+         rho: np.ndarray | None = None) -> np.ndarray:
+    """rho = M M^H over the last two axes of gathered blocks M.
 
     ``conj`` and ``rho``, when given, are arrays shaped like M and like rho
     that receive conj(M) and rho in place of new arrays.
     """
-    rho = np.matmul(m, np.swapaxes(np.conjugate(m, out=conj), -1, -2), out=rho)
+    return np.matmul(m, np.conjugate(m, out=conj).swapaxes(-1, -2), out=rho)
+
+
+def gram_purities(m: np.ndarray, conj: np.ndarray | None = None,
+                  rho: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``gram`` of the blocks M, and Tr rho^2 of each block."""
+    rho = gram(m, conj, rho)
     # a complex rho viewed as its real dtype lists re, im interleaved
     parts = rho.view(rho.real.dtype).reshape(rho.shape[:-2] + (-1,))
     return rho, np.einsum("...i,...i->...", parts, parts)

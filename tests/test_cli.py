@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from entpot import cli
 from entpot.cli import run
 from entpot.ket_parser import eval_ket, parse_ket
 
@@ -227,3 +228,51 @@ def test_consecutive_runs_share_no_state(capsys):
     assert data["n"] == 2 and abs(data["pi_me"] - 0.5) < 1e-12
     assert "k_total" not in data
     assert captured.err == ""
+
+
+def test_minimize_json_reports_stop_reasons_and_evaluations(capsys):
+    assert run(["minimize", "--n", "3", "--restarts", "4", "--seed", "5",
+                "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["stop_reasons"]) == len(data["evaluations"]) == 4
+    assert set(data["stop_reasons"]) <= {"grad_tol", "step_tol", "ftol", "max_iters"}
+    assert data["converged"] == [r != "max_iters" for r in data["stop_reasons"]]
+    assert all(isinstance(e, int) and e >= 1 for e in data["evaluations"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--expr", "|" + "0" * 15 + ">"],
+    ["minimize", "--n", "15"],
+    ["minimize", "--n", "40"],
+])
+def test_too_many_qubits_exit_two(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("entpot:") and "14" in err and "Traceback" not in err
+
+
+def test_too_many_qubits_json_file_exit_two(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 15, "amplitudes": []}')
+    assert run(["analyze", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("entpot:") and "limit of 14" in err
+
+
+def test_memory_error_exit_two(monkeypatch, capsys):
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError("Unable to allocate 256 GiB")
+
+    monkeypatch.setattr(cli, "analyze", exhausted)
+    assert run(["analyze", "--state", "hs/omega"]) == 2
+    err = capsys.readouterr().err
+    assert err == "entpot: out of memory: Unable to allocate 256 GiB\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "--expr=--"], 2),          # '--' is the expression, a syntax error
+    (["minimize", "--n=--"], 64),           # and not an integer
+])
+def test_double_dash_option_value(argv, code, capsys):
+    assert run(argv) == code
+    assert "Traceback" not in capsys.readouterr().err

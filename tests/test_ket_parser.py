@@ -22,7 +22,7 @@ from entpot.ket_parser import (
     parse_ket,
     strip_ket_comments,
 )
-from entpot.qstate import catalog_state, random_state
+from entpot.qstate import MAX_QUBITS, catalog_state, random_state
 
 HS_EXPR = "(|0011>+|1100>+w*(|0101>+|1010>)+w*w*(|0110>+|1001>))/sqrt(6)"
 
@@ -167,6 +167,14 @@ def test_eval_zero_state():
     with pytest.raises(DegenerateStateError):
         eval_ket(parse_ket("0*|00>"), "renormalize")
 
+
+
+def test_ket_wider_than_the_cap_rejected_before_evaluation():
+    text = "(|" + "0" * MAX_QUBITS + ">+|" + "1" * (MAX_QUBITS + 1) + ">)"
+    with pytest.raises(KetWidthError, match="limit of 14") as err:
+        parse_ket(text)
+    assert err.value.span == (MAX_QUBITS + 4, len(text) - 1)
+    parse_ket("|" + "0" * MAX_QUBITS + ">")  # at the cap: parsed, not evaluated
 
 @settings(max_examples=500, deadline=None)
 @given(st.text(max_size=40))

@@ -16,7 +16,7 @@ from entpot.mmes_search import (
     value_and_gradient,
 )
 from entpot.potential import pi_me
-from entpot.qstate import catalog_state
+from entpot.qstate import MAX_QUBITS, catalog_state, random_state
 
 
 def finite_difference(point, h=1e-5):
@@ -167,6 +167,8 @@ def test_config_validation():
         MinimizeConfig(n_qubits=1)
     with pytest.raises(ConfigError):
         MinimizeConfig(n_qubits=4, restarts=0)
+    with pytest.raises(ConfigError, match="2..14"):
+        MinimizeConfig(n_qubits=MAX_QUBITS + 1)
     # The stop rules are module constants, not per-call settings.
     assert [f.name for f in dataclasses.fields(MinimizeConfig)] == ["n_qubits", "restarts", "seed"]
     with pytest.raises(TypeError):
@@ -177,6 +179,7 @@ def test_iteration_cap_leaves_restarts_unconverged(monkeypatch):
     monkeypatch.setattr(mmes_search, "MAX_ITERS", 1)
     result = minimize_potential(MinimizeConfig(n_qubits=4, restarts=3, seed=0))
     assert result.converged == [False, False, False]
+    assert result.stop_reasons == ["max_iters"] * 3
     assert [len(t) for t in result.traces] == [2, 2, 2]
 
 
@@ -190,3 +193,26 @@ def test_trace_csv_export(tmp_path):
     assert len(rows) - 1 == sum(len(t) for t in result.traces)
     restarts = {int(r) for r, _, _ in rows[1:]}
     assert restarts == {0, 1}
+
+
+def test_descent_from_hs_stops_on_grad_tol():
+    point = encode_state(catalog_state("hs", "omega"))
+    _, value, trace, reason, evaluations = mmes_search._projected_gradient(point)
+    assert reason == "grad_tol"
+    assert evaluations == 1 and trace == [(0, value)]
+    assert abs(value - 1 / 3) < 1e-15
+
+
+def test_stop_reasons_and_evaluations_per_restart():
+    result = minimize_potential(MinimizeConfig(n_qubits=4, restarts=5, seed=2))
+    assert len(result.stop_reasons) == len(result.evaluations) == 5
+    assert set(result.stop_reasons) <= {"grad_tol", "step_tol", "ftol"}
+    assert result.converged == [True] * 5
+    # every accepted step and the start cost one value pass, rejected trials more
+    assert all(e >= len(t) for e, t in zip(result.evaluations, result.traces))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_objective_matches_oracle(n):
+    state = random_state(n, np.random.default_rng(500 + n))
+    assert abs(objective(encode_state(state)) - pi_me(state)) < 1e-14

@@ -17,6 +17,7 @@ from entpot.errors import (
 from entpot.potential import pi_me
 from entpot.qstate import (
     CATALOG,
+    MAX_QUBITS,
     OMEGA,
     PureState,
     apply_local_unitary,
@@ -236,3 +237,27 @@ def test_json_malformed():
         state_from_json_dict({"amplitudes": []})
     with pytest.raises(FormatError):
         state_from_json_dict({"n": 1, "amplitudes": [[0.0], [1.0]]})
+
+
+@pytest.mark.parametrize("pairs", [
+    ["10", "00"],             # a two-character string unpacks into two parts
+    [["1", "0"], ["0", "0"]],
+    [[10**400, 0], [0, 0]],   # an integer beyond the float range
+])
+def test_json_amplitudes_must_be_numbers(pairs):
+    with pytest.raises(FormatError, match="pairs of numbers"):
+        state_from_json_dict({"n": 1, "amplitudes": pairs}, "renormalize")
+
+
+# ---------------------------------------------------------------------------
+# Qubit cap: each check fires before an amplitude array is built
+# ---------------------------------------------------------------------------
+
+
+def test_too_many_qubits_rejected_before_allocation():
+    with pytest.raises(DimensionError, match="limit of 14"):
+        PureState(MAX_QUBITS + 1, np.ones(1))
+    with pytest.raises(DimensionError, match="limit of 14"):
+        make_state(MAX_QUBITS + 1, [1.0])
+    with pytest.raises(DimensionError, match="limit of 14"):
+        state_from_json_dict({"n": MAX_QUBITS + 1, "amplitudes": "never read"})

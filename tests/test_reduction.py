@@ -7,6 +7,8 @@ from entpot.qstate import catalog_state, make_state, random_state
 from helpers import random_amplitude_batch
 from entpot.reduction import (
     DensityMatrix,
+    _gather_index,
+    balanced_index,
     all_balanced_purities,
     balanced_purities,
     balanced_subsets,
@@ -210,3 +212,14 @@ def test_balanced_purities_agree_across_threads():
         for expected, runs in zip(want, pool.map(repeat, states)):
             for got in runs:
                 np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_balanced_index_matches_stacked_gather_tables(n):
+    subsets = balanced_subsets(n)
+    if n % 2 == 0:
+        subsets = subsets[: len(subsets) // 2]
+    expected = np.stack([_gather_index(n, subset) for subset in subsets])
+    index = balanced_index(n)
+    assert index.dtype == np.intp and not index.flags.writeable
+    np.testing.assert_array_equal(index, expected)
