@@ -13,10 +13,16 @@ Grammar (whitespace insignificant)::
 Implicit multiplication binds like '*', so ``w|0101>`` and ``w*|0101>``
 parse identically. All kets in one expression must have the same width.
 Errors carry a (start, end) span into the source text.
+
+Each ``a+b-c`` chain is one n-ary ``Sum`` node and each ``a*b/c`` chain one
+n-ary ``Product`` node. Evaluation folds a chain from the left, so it
+recurses only as deep as parentheses, functions and signs nest (at most 200
+levels), and the 2^14 terms ``format_ket`` prints for a generic 14-qubit
+state parse and evaluate back.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -62,29 +68,19 @@ class NamedConstant:
 
 @dataclass(frozen=True)
 class Sum:
-    left: "KetAst"
-    right: "KetAst"
-    span: Span
+    """terms[0] signs[1] terms[1] ...; signs[0] is always '+'."""
 
-
-@dataclass(frozen=True)
-class Difference:
-    left: "KetAst"
-    right: "KetAst"
+    terms: tuple["KetAst", ...]
+    signs: tuple[str, ...]
     span: Span
 
 
 @dataclass(frozen=True)
 class Product:
-    left: "KetAst"
-    right: "KetAst"
-    span: Span
+    """factors[0] ops[1] factors[1] ...; ops[0] is always '*'."""
 
-
-@dataclass(frozen=True)
-class Quotient:
-    left: "KetAst"
-    right: "KetAst"
+    factors: tuple["KetAst", ...]
+    ops: tuple[str, ...]
     span: Span
 
 
@@ -103,7 +99,7 @@ class FunctionCall:
 
 KetAst = Union[
     KetLiteral, ComplexLiteral, NamedConstant,
-    Sum, Difference, Product, Quotient, Negation, FunctionCall,
+    Sum, Product, Negation, FunctionCall,
 ]
 
 
@@ -207,28 +203,28 @@ class _Parser:
         return self.advance()
 
     def expr(self, depth: int) -> KetAst:
-        node = self.term(depth)
+        terms, signs = [self.term(depth)], ["+"]
         while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            right = self.term(depth)
-            span = (node.span[0], right.span[1])
-            node = Sum(node, right, span) if op.kind == "+" else Difference(node, right, span)
-        return node
+            signs.append(self.advance().kind)
+            terms.append(self.term(depth))
+        if len(terms) == 1:
+            return terms[0]
+        return Sum(tuple(terms), tuple(signs), (terms[0].span[0], terms[-1].span[1]))
 
     def term(self, depth: int) -> KetAst:
-        node = self.factor(depth)
+        factors, ops = [self.factor(depth)], ["*"]
         while True:
             kind = self.peek().kind
             if kind in ("*", "/"):
-                op = self.advance()
-                right = self.factor(depth)
-                span = (node.span[0], right.span[1])
-                node = Product(node, right, span) if op.kind == "*" else Quotient(node, right, span)
+                ops.append(self.advance().kind)
             elif kind in _FACTOR_START:  # implicit multiplication
-                right = self.factor(depth)
-                node = Product(node, right, (node.span[0], right.span[1]))
+                ops.append("*")
             else:
-                return node
+                break
+            factors.append(self.factor(depth))
+        if len(factors) == 1:
+            return factors[0]
+        return Product(tuple(factors), tuple(ops), (factors[0].span[0], factors[-1].span[1]))
 
     def factor(self, depth: int) -> KetAst:
         if depth >= _MAX_DEPTH:
@@ -248,7 +244,7 @@ class _Parser:
             self.advance()
             inner = self.expr(depth + 1)
             closing = self.expect(")", "')'")
-            return _respan(inner, (tok.span[0], closing.span[1]))
+            return replace(inner, span=(tok.span[0], closing.span[1]))
         if tok.kind == "ident":
             self.advance()
             if tok.text in _FUNCTIONS:
@@ -262,25 +258,6 @@ class _Parser:
         raise KetSyntaxError("expected a number, constant, ket or '('", tok.span)
 
 
-def _respan(node: KetAst, span: Span) -> KetAst:
-    cls = type(node)
-    fields = {f: getattr(node, f) for f in node.__dataclass_fields__}
-    fields["span"] = span
-    return cls(**fields)
-
-
-def _ket_literals(node: KetAst):
-    if isinstance(node, KetLiteral):
-        yield node
-    elif isinstance(node, (Sum, Difference, Product, Quotient)):
-        yield from _ket_literals(node.left)
-        yield from _ket_literals(node.right)
-    elif isinstance(node, Negation):
-        yield from _ket_literals(node.child)
-    elif isinstance(node, FunctionCall):
-        yield from _ket_literals(node.arg)
-
-
 def parse_ket(text: str) -> KetAst:
     """Parse a ket expression; raises span-carrying errors, never crashes."""
     if not text.strip():
@@ -290,17 +267,19 @@ def parse_ket(text: str) -> KetAst:
     trailing = parser.peek()
     if trailing.kind != "eof":
         raise KetSyntaxError("unexpected trailing input", trailing.span)
-    widths = list(_ket_literals(ast))
-    for lit in widths:
-        if len(lit.bits) > MAX_QUBITS:
+    # one token per KetLiteral of the AST, in source order; the span is the ket's
+    # own, without the parentheses a KetLiteral node's span may include
+    kets = [tok for tok in parser.tokens if tok.kind == "ket"]
+    for tok in kets:
+        if len(tok.text) > MAX_QUBITS:
             raise KetWidthError(
-                f"ket width {len(lit.bits)} exceeds the limit of {MAX_QUBITS} qubits",
-                lit.span,
+                f"ket width {len(tok.text)} exceeds the limit of {MAX_QUBITS} qubits",
+                tok.span,
             )
-        if len(lit.bits) != len(widths[0].bits):
+        if len(tok.text) != len(kets[0].text):
             raise KetWidthError(
-                f"ket width {len(lit.bits)} does not match width {len(widths[0].bits)}",
-                lit.span,
+                f"ket width {len(tok.text)} does not match width {len(kets[0].text)}",
+                tok.span,
             )
     return ast
 
@@ -308,6 +287,13 @@ def parse_ket(text: str) -> KetAst:
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
+
+
+def _prefix_span(node: Sum | Product, k: int) -> Span:
+    """Span of a failure at element k of a chain: the chain up to element k,
+    or the whole node, parentheses included, at the last element."""
+    items = node.terms if isinstance(node, Sum) else node.factors
+    return node.span if k == len(items) - 1 else (items[0].span[0], items[k].span[1])
 
 
 def _eval(node: KetAst) -> complex | np.ndarray:
@@ -319,23 +305,29 @@ def _eval(node: KetAst) -> complex | np.ndarray:
         return node.value
     if isinstance(node, NamedConstant):
         return _CONSTANTS[node.name]
-    if isinstance(node, (Sum, Difference)):
-        left, right = _eval(node.left), _eval(node.right)
-        if isinstance(left, np.ndarray) != isinstance(right, np.ndarray):
-            raise KetTypeError("cannot add a scalar and a state", node.span)
-        return left + right if isinstance(node, Sum) else left - right
+    if isinstance(node, Sum):
+        acc = _eval(node.terms[0])
+        for k in range(1, len(node.terms)):
+            right = _eval(node.terms[k])
+            if isinstance(acc, np.ndarray) != isinstance(right, np.ndarray):
+                raise KetTypeError("cannot add a scalar and a state", _prefix_span(node, k))
+            acc = acc + right if node.signs[k] == "+" else acc - right
+        return acc
     if isinstance(node, Product):
-        left, right = _eval(node.left), _eval(node.right)
-        if isinstance(left, np.ndarray) and isinstance(right, np.ndarray):
-            raise KetTypeError("cannot multiply two states", node.span)
-        return left * right
-    if isinstance(node, Quotient):
-        left, right = _eval(node.left), _eval(node.right)
-        if isinstance(right, np.ndarray):
-            raise KetTypeError("cannot divide by a state", node.span)
-        if right == 0:
-            raise KetEvalError("division by zero", node.span)
-        return left / right
+        acc = _eval(node.factors[0])
+        for k in range(1, len(node.factors)):
+            right = _eval(node.factors[k])
+            if node.ops[k] == "*":
+                if isinstance(acc, np.ndarray) and isinstance(right, np.ndarray):
+                    raise KetTypeError("cannot multiply two states", _prefix_span(node, k))
+                acc = acc * right
+            elif isinstance(right, np.ndarray):
+                raise KetTypeError("cannot divide by a state", _prefix_span(node, k))
+            elif right == 0:
+                raise KetEvalError("division by zero", _prefix_span(node, k))
+            else:
+                acc = acc / right
+        return acc
     if isinstance(node, Negation):
         return -_eval(node.child)
     if isinstance(node, FunctionCall):

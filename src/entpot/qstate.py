@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Literal
 
 import numpy as np
@@ -244,6 +245,9 @@ def state_from_json_dict(
         raise FormatError(
             "'amplitudes' must be a list of [re, im] pairs of numbers in the float range"
         ) from exc
+    # complex() also takes true and false as 1 and 0; one C-level scan finds them
+    if bool in set(map(type, chain.from_iterable(pairs))):
+        raise FormatError("'amplitudes' must hold numbers, not true or false")
     return make_state(n, amps, normalize_policy)
 
 

@@ -20,8 +20,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ArityError, SubsetError
-from .qstate import PureState
+from .errors import ArityError, DimensionError, SubsetError
+from .qstate import MAX_QUBITS, PureState
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -88,8 +88,11 @@ def balanced_index(n: int) -> np.ndarray:
 
     These are all of ``balanced_subsets(n)`` for odd n. For even n they are
     its first half, the subsets holding qubit 1: the second half lists their
-    complements in reverse order, and Tr rho_A^2 = Tr rho_Abar^2.
+    complements in reverse order, and Tr rho_A^2 = Tr rho_Abar^2. Above
+    ``MAX_QUBITS`` it raises before allocating: n = 15 would take 1.7 GB.
     """
+    if n > MAX_QUBITS:
+        raise DimensionError(f"{n} qubits exceed the limit of {MAX_QUBITS}")
     subsets = balanced_subsets(n)
     if n % 2 == 0:
         subsets = subsets[: len(subsets) // 2]
@@ -133,7 +136,7 @@ def _canonical_subset(n: int, keep: Iterable[int]) -> tuple[int, ...]:
 
 def reduced_matrix(amplitudes: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray:
     """rho_A as a bare array; ``amplitudes`` may carry leading batch axes."""
-    return gram_purities(amplitudes[..., _gather_index(n, keep)])[0]
+    return gram(amplitudes[..., _gather_index(n, keep)])
 
 
 def reduced_density(state: PureState, keep: Iterable[int]) -> DensityMatrix:
@@ -153,16 +156,15 @@ def subset_purity(amplitudes: np.ndarray, n: int, keep: tuple[int, ...]) -> np.n
     return gram_purities(amplitudes[..., _gather_index(n, keep)])[1]
 
 
-def _chunk_buffers(elements: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three complex work buffers of at least ``elements`` entries.
+def _chunk_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three complex work buffers of ``_CHUNK_ELEMENTS`` entries, which hold
+    one subset of one state up to ``MAX_QUBITS``.
 
-    Up to ``_CHUNK_ELEMENTS`` entries they are made once per thread and
-    reused. With new arrays for every chunk, malloc gave the few hundred KiB
-    back to the system after each call and faulted them in again on the
-    next: 73, 96 and 752 page faults per ``analyze`` at n = 8, 9 and 10.
+    They are made once per thread and reused. With new arrays for every
+    chunk, malloc gave the few hundred KiB back to the system after each
+    call and faulted them in again on the next: 73, 96 and 752 page faults
+    per ``analyze`` at n = 8, 9 and 10.
     """
-    if elements > _CHUNK_ELEMENTS:  # one subset of one state, above n = 14
-        return tuple(np.empty(elements, dtype=np.complex128) for _ in range(3))
     if not hasattr(_scratch, "buffers"):
         _scratch.buffers = tuple(np.empty(_CHUNK_ELEMENTS, dtype=np.complex128)
                                  for _ in range(3))
@@ -183,7 +185,7 @@ def balanced_purities(amps: np.ndarray, n: int) -> np.ndarray:
     # chunks of subsets x states whose gathered blocks stay cache-sized
     subsets = min(len(index), max(1, _CHUNK_ELEMENTS >> n))
     states = max(1, _CHUNK_ELEMENTS // (subsets << n))
-    gather, conj, rho = _chunk_buffers(1 << n)
+    gather, conj, rho = _chunk_buffers()
     out = np.empty((flat.shape[0], comb(n, n // 2)))
     for s0 in range(0, len(index), subsets):
         s1 = min(s0 + subsets, len(index))

@@ -5,7 +5,8 @@ import pytest
 
 from entpot import cli
 from entpot.cli import run
-from entpot.ket_parser import eval_ket, parse_ket
+from entpot.ket_parser import eval_ket, format_ket, parse_ket
+from entpot.qstate import random_state
 
 
 def test_check_hs_exit_zero(capsys):
@@ -115,6 +116,30 @@ def test_state_files(tmp_path, capsys):
     ket_path.write_text("# comment line\n(|00>+|11>)/sqrt(2)\n")
     assert run(["analyze", "--file", str(ket_path)]) == 0
     assert "pi_ME = 0.5" in capsys.readouterr().out
+
+
+def test_formatted_ten_qubit_state_file(tmp_path, capsys):
+    """format_ket of a generic state lists all 1024 terms; both commands read it back."""
+    state = random_state(10, np.random.default_rng(10))
+    path = tmp_path / "s10.ket"
+    path.write_text(format_ket(state) + "\n")
+    assert run(["parse", "--file", str(path), "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    amps = np.array([complex(re, im) for re, im in json.loads(captured.out)["amplitudes"]])
+    assert np.max(np.abs(amps - state.amplitudes)) < 1e-12
+    assert run(["analyze", "--file", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "pi_ME = " in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_boolean_json_amplitudes_exit_two(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"n": 1, "amplitudes": [[true, false], [false, false]]}')
+    assert run(["analyze", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("entpot:") and "true or false" in captured.err
 
 
 def test_unsupported_extension(tmp_path, capsys):

@@ -14,7 +14,7 @@ from entpot.errors import (
 from entpot.ket_parser import (
     FunctionCall,
     KetLiteral,
-    Quotient,
+    Product,
     Sum,
     eval_ket,
     format_ket,
@@ -36,11 +36,15 @@ def test_parse_single_ket():
 
 def test_parse_bell_like_expression():
     ast = parse_ket("(|0011>+|1100>)/sqrt(2)")
-    assert isinstance(ast, Quotient)
-    assert isinstance(ast.left, Sum)
-    assert isinstance(ast.left.left, KetLiteral)
-    assert isinstance(ast.right, FunctionCall)
-    assert ast.right.func == "sqrt"
+    assert isinstance(ast, Product)
+    assert ast.ops == ("*", "/")
+    pair, norm = ast.factors
+    assert isinstance(pair, Sum)
+    assert pair.signs == ("+", "+")
+    assert pair.span == (0, 15)
+    assert all(isinstance(term, KetLiteral) for term in pair.terms)
+    assert isinstance(norm, FunctionCall)
+    assert norm.func == "sqrt"
 
 
 def test_eval_single_ket():
@@ -115,6 +119,14 @@ def test_round_trip_property(seed, n):
     assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [10, MAX_QUBITS])
+def test_round_trip_every_basis_term(n):
+    """2^n terms in one flat chain: parse and evaluate without deep recursion."""
+    state = random_state(n, np.random.default_rng(n))
+    back = eval_ket(parse_ket(format_ket(state)), "strict")
+    assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # errors and totality
 # ---------------------------------------------------------------------------
@@ -124,6 +136,35 @@ def test_width_mismatch():
     with pytest.raises(KetWidthError) as err:
         parse_ket("|01>+|0011>")
     assert err.value.span == (5, 11)
+
+
+def test_width_mismatch_at_the_end_of_a_long_sum():
+    text = "+".join(["|00>"] * 1999 + ["|000>"])
+    with pytest.raises(KetWidthError) as err:
+        parse_ket(text)
+    assert err.value.span == (len(text) - 5, len(text))
+
+
+def test_width_mismatch_spans_the_ket_inside_parentheses():
+    with pytest.raises(KetWidthError) as err:
+        parse_ket("|0>+(|00>)")
+    assert err.value.span == (5, 9)
+
+
+@pytest.mark.parametrize("text,span", [
+    ("+".join(["|0>"] * 2000) + "+2", None),
+    ("(|0>+2+|0>)", (1, 6)),
+    ("(|0>+|0>+2)", (0, 11)),
+    ("(2*|0>*|0>/2)", (1, 10)),
+    ("(|0>/2/|0>)", (0, 11)),
+    ("(|0>/(1-1)*2)", (1, 10)),
+])
+def test_chain_error_spans_the_chain_up_to_the_failing_element(text, span):
+    """The span runs from the chain's start through the failing element;
+    at the last element it is the whole chain, parentheses included."""
+    with pytest.raises((KetTypeError, KetEvalError)) as err:
+        eval_ket(parse_ket(text))
+    assert err.value.span == (span or (0, len(text)))
 
 
 @pytest.mark.parametrize("text", [

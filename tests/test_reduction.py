@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from entpot.errors import ArityError, SubsetError
-from entpot.qstate import catalog_state, make_state, random_state
+from entpot import reduction
+from entpot.errors import ArityError, DimensionError, SubsetError
+from entpot.potential import pi_me_of_amplitudes
+from entpot.qstate import MAX_QUBITS, catalog_state, make_state, random_state
 
 from helpers import random_amplitude_batch
 from entpot.reduction import (
@@ -223,3 +227,23 @@ def test_balanced_index_matches_stacked_gather_tables(n):
     index = balanced_index(n)
     assert index.dtype == np.intp and not index.flags.writeable
     np.testing.assert_array_equal(index, expected)
+
+
+def test_balanced_index_rejects_more_qubits_than_the_cap_before_allocating(monkeypatch):
+    def table_build_reached(n):
+        raise AssertionError(f"balanced_index({n}) went on to build its table")
+
+    monkeypatch.setattr(reduction, "balanced_subsets", table_build_reached)
+    amps = np.zeros((1, 2 ** (MAX_QUBITS + 1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match="limit of 14"):
+            balanced_index(MAX_QUBITS + 1)
+        with pytest.raises(DimensionError, match="limit of 14"):
+            pi_me_of_amplitudes(amps, MAX_QUBITS + 1)  # the table would take 1.7 GB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # so the per-thread chunk buffers hold one subset of one state at any allowed n
+    assert 1 << MAX_QUBITS <= reduction._CHUNK_ELEMENTS
