@@ -8,9 +8,9 @@ tangential to the sphere; projection is a single renormalization.
 An evaluation runs in two passes over the kernel's blocks. The value pass
 gathers the blocks M of every balanced subset, forms rho = M M^H with
 ``reduction.gram`` and sums Tr rho^2 as one dot product. The gradient pass
-reuses that M and rho for rho M and scatters it back to basis order. The
-descent gives every Armijo trial point a value pass and only the accepted
-point a gradient pass.
+reuses that M and rho for rho M and writes it back to basis order through
+the same gather index. The descent gives every Armijo trial point a value
+pass and only the accepted point a gradient pass.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateStateError, DimensionError
 from .qstate import MAX_QUBITS, PureState
-from .reduction import balanced_index, gram
+from .reduction import CACHED_INDEX_QUBITS, balanced_index, gram
 
 #: Armijo sufficient-decrease constant, step shrink factor, and the first
 #: step of a backtrack that has no Barzilai-Borwein step to start from.
@@ -58,18 +58,17 @@ def encode_state(state: PureState) -> np.ndarray:
     return state.amplitudes.view(np.float64).copy()
 
 
-@lru_cache(maxsize=None)
-def _scatter_index(n: int) -> np.ndarray:
-    """Inverse of each gather permutation in ``balanced_index(n)``, (S, 2^n).
+def _write_back_positions(n: int) -> np.ndarray:
+    """Flat position of every block entry of ``balanced_index(n)`` in an
+    (S, 2^n) array: row s of the index plus s 2^n, flattened."""
+    index = balanced_index(n)
+    positions = (index.reshape(len(index), -1) + (np.arange(len(index)) << n)[:, None]).ravel()
+    positions.flags.writeable = False
+    return positions
 
-    Entries index the flattened (S, 2^k, 2^(n-k)) stack of blocks, so row s
-    takes block s back to basis order.
-    """
-    gather = balanced_index(n)
-    gather = gather.reshape(len(gather), -1)
-    scatter = np.argsort(gather, axis=1) + gather.shape[1] * np.arange(len(gather))[:, None]
-    scatter.flags.writeable = False
-    return scatter
+
+#: Kept for the same n as ``balanced_index``'s cached tables.
+_cached_write_back_positions = lru_cache(maxsize=None)(_write_back_positions)
 
 
 def _value_pass(c: np.ndarray, n: int) -> tuple[float, np.ndarray, np.ndarray, float]:
@@ -93,10 +92,17 @@ def _gradient_pass(c: np.ndarray, n: int, value: float, m: np.ndarray,
     """Exact gradient at c, as interleaved reals, from ``_value_pass(c, n)``.
 
     d raw / dc* is the mean over subsets of 2 rho M, scattered back to the
-    basis order. raw(c)/|c|^4 is homogeneous of degree 2 in c and c*, and the
-    gradient in the (re, im) pairs is 2 d/dc*.
+    basis order: row s of an (S, 2^n) array receives block s of rho M
+    through its gather index. That array reuses the memory of M, which is
+    overwritten. raw(c)/|c|^4 is homogeneous of degree 2 in c and c*, and
+    the gradient in the (re, im) pairs is 2 d/dc*.
     """
-    g = (rho @ m).take(_scatter_index(n)).sum(axis=0)
+    positions = (_cached_write_back_positions if n <= CACHED_INDEX_QUBITS
+                 else _write_back_positions)(n)
+    rho_m = rho @ m
+    scattered = m.reshape(-1)
+    scattered[positions] = rho_m.ravel()
+    g = scattered.reshape(len(m), -1).sum(axis=0)
     g *= 4.0 / len(m) / norm_sq**2
     g -= (4.0 * value / norm_sq) * c
     return g.view(np.float64)

@@ -1,11 +1,17 @@
 """Partial trace and purity for arbitrary qubit subsets of arbitrary n.
 
-This is the brute-force reference implementation. A gather index built by
-transposing the qubit axes of ``arange(2**n)`` lays the amplitudes out as a
-2^k x 2^(n-k) block M per subset (kept qubits by traced qubits); the
-reduced density matrix is rho = M M^H and its purity the squared Frobenius
-norm. ``balanced_purities`` runs every balanced subset of one n through a
-single stacked index, so the whole potential is a few batched products.
+This is the brute-force reference implementation. A gather index lays the
+amplitudes out as a 2^k x 2^(n-k) block M per subset (kept qubits by traced
+qubits); the reduced density matrix is rho = M M^H and its purity the
+squared Frobenius norm. ``balanced_purities`` runs every balanced subset of
+one n through chunks of a stacked index, so the whole potential is a few
+batched products.
+
+The index of a subset is a bit permutation, so index[x, z] splits into
+kept[x] + traced[z]. ``balanced_offsets`` keeps only these two parts,
+C(n, k) (2^k + 2^(n-k)) entries (3.5 MB at n = 14 against 225 MB for the
+table), and the kernel adds them per chunk. The expanded table stays
+cached only up to ``CACHED_INDEX_QUBITS``.
 The four-qubit closed forms in ``closed_form`` are checked against this
 module, never derived from it.
 """
@@ -60,6 +66,12 @@ class DensityMatrix:
 #: EPYC, OpenBLAS on one thread). A chunk holds at least one subset of one state.
 _CHUNK_ELEMENTS = 1 << 14
 
+#: Largest n whose expanded balanced index stays cached: the table takes
+#: 1 MiB at n = 10, and would take 7.6 MB at n = 11 and 225 MB at n = 14.
+#: Expanding per chunk at n <= 10 instead cost 7-58% more kernel time at
+#: n = 5..10 (2-vCPU Intel Xeon, one BLAS thread).
+CACHED_INDEX_QUBITS = 10
+
 #: Per-thread work buffers of ``balanced_purities``, see ``_chunk_buffers``.
 _scratch = threading.local()
 
@@ -82,26 +94,66 @@ def balanced_subsets(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(1, n + 1), n // 2))
 
 
-@lru_cache(maxsize=None)
-def balanced_index(n: int) -> np.ndarray:
-    """Stacked gather index (S, 2^k, 2^(n-k)) of the balanced subsets the kernel computes.
+def _bit_offsets(qubits: np.ndarray, n: int) -> np.ndarray:
+    """(S, 2^m) basis-index offsets spelled by each row of m qubits.
 
-    These are all of ``balanced_subsets(n)`` for odd n. For even n they are
-    its first half, the subsets holding qubit 1: the second half lists their
-    complements in reverse order, and Tr rho_A^2 = Tr rho_Abar^2. Above
-    ``MAX_QUBITS`` it raises before allocating: n = 15 would take 1.7 GB.
+    Entry [s, x] sets the bit of qubit q (significance n - q) wherever x
+    has the matching bit, with the row's first qubit most significant in x.
+    """
+    m = qubits.shape[1]
+    bits = (np.arange(1 << m, dtype=np.intp)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    return (np.intp(1) << (n - qubits)) @ bits.T
+
+
+@lru_cache(maxsize=None)
+def balanced_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kept and traced offsets, (S, 2^k) and (S, 2^(n-k)), of the kernel's subsets.
+
+    ``kept[s, x] + traced[s, z]`` is ``balanced_index(n)[s, x, z]``. The
+    subsets are all of ``balanced_subsets(n)`` for odd n. For even n they
+    are its first half, the subsets holding qubit 1: the second half lists
+    their complements in reverse order, and Tr rho_A^2 = Tr rho_Abar^2.
+    Above ``MAX_QUBITS`` it raises before allocating.
     """
     if n > MAX_QUBITS:
         raise DimensionError(f"{n} qubits exceed the limit of {MAX_QUBITS}")
     subsets = balanced_subsets(n)
     if n % 2 == 0:
         subsets = subsets[: len(subsets) // 2]
-    # filled row by row: a list of rows for np.stack would double the peak
-    index = np.empty((len(subsets), 1 << (n // 2), 1 << (n - n // 2)), dtype=np.intp)
-    for row, subset in zip(index, subsets):
-        row[...] = _gather_index(n, subset)
+    keep = np.array(subsets, dtype=np.intp)
+    member = np.zeros((len(keep), n + 1), dtype=bool)
+    member[np.arange(len(keep))[:, None], keep] = True
+    # the complement of each row, ascending: qubits 1..n not in it
+    traced = np.nonzero(~member[:, 1:])[1].reshape(len(keep), -1) + 1
+    offsets = _bit_offsets(keep, n), _bit_offsets(traced, n)
+    for part in offsets:
+        part.flags.writeable = False
+    return offsets
+
+
+def _expand(kept: np.ndarray, traced: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The (S, 2^k, 2^(n-k)) gather index of kept and traced offsets."""
+    return np.add(kept[:, :, None], traced[:, None, :], out=out)
+
+
+def _read_only_index(n: int) -> np.ndarray:
+    """A new expanded ``balanced_index(n)``."""
+    index = _expand(*balanced_offsets(n))
     index.flags.writeable = False
     return index
+
+
+_cached_index = lru_cache(maxsize=None)(_read_only_index)
+
+
+def balanced_index(n: int) -> np.ndarray:
+    """Read-only stacked gather index (S, 2^k, 2^(n-k)) of the subsets of
+    ``balanced_offsets``.
+
+    Up to ``CACHED_INDEX_QUBITS`` it is one cached table; above, each call
+    expands a new one from the offsets, which goes when the caller drops it.
+    """
+    return (_cached_index if n <= CACHED_INDEX_QUBITS else _read_only_index)(n)
 
 
 def gram(m: np.ndarray, conj: np.ndarray | None = None,
@@ -156,9 +208,11 @@ def subset_purity(amplitudes: np.ndarray, n: int, keep: tuple[int, ...]) -> np.n
     return gram_purities(amplitudes[..., _gather_index(n, keep)])[1]
 
 
-def _chunk_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three complex work buffers of ``_CHUNK_ELEMENTS`` entries, which hold
-    one subset of one state up to ``MAX_QUBITS``.
+def _chunk_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Three complex work buffers and one intp buffer of ``_CHUNK_ELEMENTS``
+    entries, which hold one subset of one state up to ``MAX_QUBITS``: the
+    gathered blocks, their conjugates, rho, and the chunk's gather index
+    where ``balanced_index`` is not cached.
 
     They are made once per thread and reused. With new arrays for every
     chunk, malloc gave the few hundred KiB back to the system after each
@@ -167,7 +221,7 @@ def _chunk_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if not hasattr(_scratch, "buffers"):
         _scratch.buffers = tuple(np.empty(_CHUNK_ELEMENTS, dtype=np.complex128)
-                                 for _ in range(3))
+                                 for _ in range(3)) + (np.empty(_CHUNK_ELEMENTS, dtype=np.intp),)
     return _scratch.buffers
 
 
@@ -180,23 +234,29 @@ def balanced_purities(amps: np.ndarray, n: int) -> np.ndarray:
 
     ``amps`` is (..., 2**n); the result is (..., C(n, floor(n/2))).
     """
-    index = balanced_index(n)
+    kept, traced = balanced_offsets(n)
+    cached = balanced_index(n) if n <= CACHED_INDEX_QUBITS else None
     flat = np.asarray(amps, dtype=np.complex128).reshape(-1, 1 << n)
     # chunks of subsets x states whose gathered blocks stay cache-sized
-    subsets = min(len(index), max(1, _CHUNK_ELEMENTS >> n))
+    subsets = min(len(kept), max(1, _CHUNK_ELEMENTS >> n))
     states = max(1, _CHUNK_ELEMENTS // (subsets << n))
-    gather, conj, rho = _chunk_buffers()
+    gather, conj, rho, scratch_index = _chunk_buffers()
     out = np.empty((flat.shape[0], comb(n, n // 2)))
-    for s0 in range(0, len(index), subsets):
-        s1 = min(s0 + subsets, len(index))
+    for s0 in range(0, len(kept), subsets):
+        s1 = min(s0 + subsets, len(kept))
+        if cached is None:
+            index = _expand(kept[s0:s1], traced[s0:s1],
+                            _view(scratch_index, (s1 - s0, kept.shape[1], traced.shape[1])))
+        else:
+            index = cached[s0:s1]
         for b0 in range(0, flat.shape[0], states):
             rows = flat[b0 : b0 + states]
-            shape = (len(rows),) + index[s0:s1].shape
-            block = np.take(rows, index[s0:s1], axis=1, mode="clip", out=_view(gather, shape))
+            shape = (len(rows),) + index.shape
+            block = np.take(rows, index, axis=1, mode="clip", out=_view(gather, shape))
             out[b0 : b0 + states, s0:s1] = gram_purities(
                 block, _view(conj, shape), _view(rho, shape[:-1] + shape[-2:-1]))[1]
     if n % 2 == 0:  # the complements, in reverse order
-        half = len(index)
+        half = len(kept)
         out[:, half:] = out[:, half - 1 :: -1]
     return out.reshape(np.shape(amps)[:-1] + (-1,))
 

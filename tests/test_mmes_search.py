@@ -98,6 +98,17 @@ def test_gradient_matches_finite_differences_larger_n(n):
         assert np.linalg.norm(fd - g) / max(np.linalg.norm(fd), 1e-12) < 1e-5
 
 
+def test_gradient_matches_a_directional_difference_above_the_cached_index():
+    # n = 11 is the first n whose gather index is expanded on every call
+    rng = np.random.default_rng(211)
+    point, direction = rng.standard_normal((2, 1 << 12))
+    point /= np.linalg.norm(point)
+    direction /= np.linalg.norm(direction)
+    h = 1e-6
+    fd = (objective(point + h * direction) - objective(point - h * direction)) / (2 * h)
+    assert abs(fd - gradient(point) @ direction) < 1e-6 * abs(fd)
+
+
 def test_gradient_stationary_at_hs():
     point = encode_state(catalog_state("hs", "omega"))
     assert np.linalg.norm(gradient(point)) < 1e-8

@@ -65,6 +65,32 @@ def test_make_state_empty():
         make_state(4, [], "strict")
 
 
+@pytest.mark.parametrize("policy", ["strict", "renormalize"])
+def test_make_state_same_state_from_ndarray_list_and_generator(policy):
+    amps = random_state(5, np.random.default_rng(41)).amplitudes
+    if policy == "renormalize":
+        amps = 2.0 * amps
+    states = [make_state(5, source, policy)
+              for source in (amps, amps.tolist(), (a for a in amps))]
+    for state in states:
+        assert state.amplitudes.dtype == np.complex128
+        np.testing.assert_array_equal(state.amplitudes, states[0].amplitudes)
+
+
+def test_make_state_does_not_alias_an_ndarray_input():
+    amps = np.zeros(4, dtype=np.complex128)
+    amps[0] = 1.0
+    state = make_state(2, amps)
+    amps[0] = 0.5
+    assert state.amplitudes[0] == 1.0
+
+
+def test_make_state_rejects_a_zero_dimensional_array():
+    # one amplitude is never 2**n of them; list() of a 0-d array raised TypeError
+    with pytest.raises(DimensionError):
+        make_state(1, np.array(1.0 + 0j))
+
+
 def test_make_state_zero_vector():
     with pytest.raises(DegenerateStateError):
         make_state(2, [0, 0, 0, 0], "renormalize")

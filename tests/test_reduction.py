@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from entpot import reduction
 from entpot.errors import ArityError, DimensionError, SubsetError
-from entpot.potential import pi_me_of_amplitudes
+from entpot.mmes_search import value_and_gradient
+from entpot.potential import analyze, pi_me_of_amplitudes
 from entpot.qstate import MAX_QUBITS, catalog_state, make_state, random_state
 
 from helpers import random_amplitude_batch
@@ -13,6 +15,7 @@ from entpot.reduction import (
     DensityMatrix,
     _gather_index,
     balanced_index,
+    balanced_offsets,
     all_balanced_purities,
     balanced_purities,
     balanced_subsets,
@@ -229,9 +232,92 @@ def test_balanced_index_matches_stacked_gather_tables(n):
     np.testing.assert_array_equal(index, expected)
 
 
+def kernel_subsets(n):
+    """The subsets ``balanced_offsets(n)`` lists, in its row order."""
+    subsets = balanced_subsets(n)
+    return subsets[: len(subsets) // 2] if n % 2 == 0 else subsets
+
+
+def sampled_rows(n, count, rng):
+    """Every row of ``balanced_offsets(n)`` up to n = 12, else the first, the
+    last and ``count`` random ones."""
+    rows = len(kernel_subsets(n))
+    if n <= 12:
+        return range(rows)
+    return sorted({0, rows - 1, *rng.choice(rows, size=count, replace=False).tolist()})
+
+
+@pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
+def test_balanced_offsets_expand_to_the_transpose_gather_index(n):
+    kept, traced = balanced_offsets(n)
+    k = n // 2
+    assert kept.shape == (len(kernel_subsets(n)), 1 << k)
+    assert traced.shape == (len(kernel_subsets(n)), 1 << (n - k))
+    assert kept.dtype == traced.dtype == np.intp
+    assert not kept.flags.writeable and not traced.flags.writeable
+    subsets = kernel_subsets(n)
+    for s in sampled_rows(n, 40, np.random.default_rng(700 + n)):
+        expanded = kept[s][:, None] + traced[s][None, :]
+        np.testing.assert_array_equal(expanded, _gather_index(n, subsets[s]))
+
+
+def transpose_route_purities(amps, n, subsets):
+    """Tr rho_A^2 per subset from one qubit axis per bit, kept axes moved to
+    the front: no index table involved."""
+    psi = amps.reshape((2,) * n)
+    out = []
+    for keep in subsets:
+        traced = [q for q in range(1, n + 1) if q not in keep]
+        m = psi.transpose([q - 1 for q in keep + tuple(traced)]).reshape(1 << len(keep), -1)
+        rho = m @ m.conj().T
+        out.append(np.sum(np.abs(rho) ** 2))
+    return np.array(out)
+
+
+def test_balanced_purities_match_the_transpose_route_at_13_qubits():
+    amps = random_state(13, np.random.default_rng(713)).amplitudes
+    np.testing.assert_allclose(balanced_purities(amps, 13),
+                               transpose_route_purities(amps, 13, balanced_subsets(13)),
+                               rtol=0, atol=1e-13)
+
+
+def test_balanced_purities_match_the_transpose_route_on_sampled_subsets_at_14_qubits():
+    rng = np.random.default_rng(714)
+    amps = random_state(14, rng).amplitudes
+    values = balanced_purities(amps, 14)
+    subsets = balanced_subsets(14)
+    # from both halves: the kernel's own rows and the complements it copies
+    picked = sorted({0, len(subsets) - 1, *rng.choice(len(subsets), 30, replace=False).tolist()})
+    np.testing.assert_allclose(values[picked],
+                               transpose_route_purities(amps, 14, [subsets[j] for j in picked]),
+                               rtol=0, atol=1e-13)
+
+
+def test_index_memory_retained_after_large_n_calls_stays_below_one_mib():
+    """No cache keeps a C(n, n/2) 2^n table: only the offsets stay per n."""
+    reduction.balanced_offsets.cache_clear()
+    reduction._cached_index.cache_clear()
+    rng = np.random.default_rng(715)
+    balanced_purities(np.ones(4), 2)  # this thread's chunk buffers exist already
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = analyze(random_state(12, rng))
+        assert len(report.purities) == 924
+        del report
+        value_and_gradient(rng.standard_normal(1 << 12))
+        gc.collect()  # also empties the tuple free lists, which tracemalloc counts
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
+    # the largest table that does stay cached
+    assert balanced_index(reduction.CACHED_INDEX_QUBITS).nbytes <= 1 << 20
+
+
 def test_balanced_index_rejects_more_qubits_than_the_cap_before_allocating(monkeypatch):
     def table_build_reached(n):
-        raise AssertionError(f"balanced_index({n}) went on to build its table")
+        raise AssertionError(f"balanced_offsets({n}) went on to build its offsets")
 
     monkeypatch.setattr(reduction, "balanced_subsets", table_build_reached)
     amps = np.zeros((1, 2 ** (MAX_QUBITS + 1)))
@@ -240,7 +326,9 @@ def test_balanced_index_rejects_more_qubits_than_the_cap_before_allocating(monke
         with pytest.raises(DimensionError, match="limit of 14"):
             balanced_index(MAX_QUBITS + 1)
         with pytest.raises(DimensionError, match="limit of 14"):
-            pi_me_of_amplitudes(amps, MAX_QUBITS + 1)  # the table would take 1.7 GB
+            balanced_offsets(MAX_QUBITS + 1)
+        with pytest.raises(DimensionError, match="limit of 14"):
+            pi_me_of_amplitudes(amps, MAX_QUBITS + 1)  # rejected before any conversion
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
