@@ -181,19 +181,6 @@ def pair_purities(state: PureState) -> PairPurities:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _k2_terms() -> tuple[np.ndarray, np.ndarray]:
-    """Left/right index quadruples of the 36 cross-overlap terms, generated
-    from the same bipartition machinery as the pair purities."""
-    left, right = [], []
-    for pair in PAIRS:
-        g = _pair_groups(pair)
-        for x, y in _PATTERN_PAIRS:
-            left.append(g[x])
-            right.append(g[y])
-    return np.array(left), np.array(right)
-
-
 def k2_of_amplitudes(amps: np.ndarray) -> np.ndarray:
     """Batched K2; ``amps`` has shape (..., 16)."""
     return _over_chunks(_k2_chunk, amps)

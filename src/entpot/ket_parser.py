@@ -14,6 +14,9 @@ Implicit multiplication binds like '*', so ``w|0101>`` and ``w*|0101>``
 parse identically. All kets in one expression must have the same width.
 Errors carry a (start, end) span into the source text.
 
+One compiled regular expression, ``_TOKEN``, tokenizes the text; a position
+it does not match holds an illegal character.
+
 Each ``a+b-c`` chain is one n-ary ``Sum`` node and each ``a*b/c`` chain one
 n-ary ``Product`` node. Evaluation folds a chain from the left, so it
 recurses only as deep as parentheses, functions and signs nest (at most 200
@@ -22,6 +25,7 @@ state parse and evaluate back.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -108,71 +112,51 @@ KetAst = Union[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # one of: number ident ket + - * / ( ) eof
-    text: str
-    value: float | None
-    span: Span
+# One alternative per token kind. The classes are ASCII-only: str.isdigit
+# accepts '²', which float() rejects, and \d and \w accept '٣', '１' and 'ｉ',
+# which the language does not use, so all four stay illegal characters.
+# \s matches exactly the characters str.isspace accepts.
+_TOKEN = re.compile(
+    r"""
+      (?P<space>\s+)
+    | (?P<op>[-+*/()])
+    | (?P<ket>\|[01]*>?)
+    | (?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+    | (?P<ident>[A-Za-z][A-Za-z0-9]*)
+    """,
+    re.VERBOSE,
+)
 
 
-# ASCII-only classes: str.isdigit/isalpha accept Unicode lookalikes that
-# float() rejects, so they must not drive the lexer.
-_DIGITS = frozenset("0123456789")
-_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+def _lex(text: str) -> list[tuple]:
+    """Tokens as (kind, text, value, span) tuples, ending with an "eof" token.
 
-
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+    kind is "number", "ident", "ket" or the operator character itself; value
+    is set for numbers only, and a ket's text is its bits.
+    """
+    tokens = []
     pos, end = 0, len(text)
     while pos < end:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in "+-*/()":
-            tokens.append(_Token(ch, ch, None, (pos, pos + 1)))
-            pos += 1
-            continue
-        if ch == "|":
-            j = pos + 1
-            while j < end and text[j] in "01":
-                j += 1
-            if j == pos + 1:
-                raise KetSyntaxError("expected bits after '|'", (pos, j))
-            if j >= end or text[j] != ">":
-                raise KetSyntaxError("unterminated ket, expected '>'", (pos, j))
-            tokens.append(_Token("ket", text[pos + 1 : j], None, (pos, j + 1)))
-            pos = j + 1
-            continue
-        if ch in _DIGITS or (ch == "." and pos + 1 < end and text[pos + 1] in _DIGITS):
-            j = pos
-            while j < end and text[j] in _DIGITS:
-                j += 1
-            if j < end and text[j] == ".":
-                j += 1
-                while j < end and text[j] in _DIGITS:
-                    j += 1
-            if j < end and text[j] in "eE":
-                k = j + 1
-                if k < end and text[k] in "+-":
-                    k += 1
-                if k < end and text[k] in _DIGITS:
-                    j = k
-                    while j < end and text[j] in _DIGITS:
-                        j += 1
-            tokens.append(_Token("number", text[pos:j], float(text[pos:j]), (pos, j)))
-            pos = j
-            continue
-        if ch in _LETTERS:
-            j = pos
-            while j < end and (text[j] in _LETTERS or text[j] in _DIGITS):
-                j += 1
-            tokens.append(_Token("ident", text[pos:j], None, (pos, j)))
-            pos = j
-            continue
-        raise KetSyntaxError(f"illegal character {ch!r}", (pos, pos + 1))
-    tokens.append(_Token("eof", "", None, (end, end)))
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            raise KetSyntaxError(f"illegal character {text[pos]!r}", (pos, pos + 1))
+        start, pos = pos, match.end()
+        kind, lexeme = match.lastgroup, match.group()
+        if kind == "op":
+            tokens.append((lexeme, lexeme, None, (start, pos)))
+        elif kind == "number":
+            tokens.append((kind, lexeme, float(lexeme), (start, pos)))
+        elif kind == "ident":
+            tokens.append((kind, lexeme, None, (start, pos)))
+        elif kind == "ket":
+            closed = lexeme.endswith(">")
+            bits = lexeme[1 : len(lexeme) - closed]
+            if not bits:
+                raise KetSyntaxError("expected bits after '|'", (start, start + 1))
+            if not closed:
+                raise KetSyntaxError("unterminated ket, expected '>'", (start, pos))
+            tokens.append((kind, bits, None, (start, pos)))
+    tokens.append(("eof", "", None, (end, end)))
     return tokens
 
 
@@ -184,28 +168,30 @@ _FACTOR_START = ("number", "ident", "ket", "(")
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> str:
+        """Step past the current token; returns its kind."""
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1][0]
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise KetSyntaxError(f"expected {what}", tok.span)
-        return self.advance()
+    def expect(self, kind: str, what: str) -> Span:
+        """Step past a token of this kind; returns its span."""
+        tok_kind, _, _, span = self.tokens[self.pos]
+        if tok_kind != kind:
+            raise KetSyntaxError(f"expected {what}", span)
+        self.pos += 1
+        return span
 
     def expr(self, depth: int) -> KetAst:
         terms, signs = [self.term(depth)], ["+"]
-        while self.peek().kind in ("+", "-"):
-            signs.append(self.advance().kind)
+        while self.kind() in ("+", "-"):
+            signs.append(self.advance())
             terms.append(self.term(depth))
         if len(terms) == 1:
             return terms[0]
@@ -214,9 +200,9 @@ class _Parser:
     def term(self, depth: int) -> KetAst:
         factors, ops = [self.factor(depth)], ["*"]
         while True:
-            kind = self.peek().kind
+            kind = self.kind()
             if kind in ("*", "/"):
-                ops.append(self.advance().kind)
+                ops.append(self.advance())
             elif kind in _FACTOR_START:  # implicit multiplication
                 ops.append("*")
             else:
@@ -227,35 +213,35 @@ class _Parser:
         return Product(tuple(factors), tuple(ops), (factors[0].span[0], factors[-1].span[1]))
 
     def factor(self, depth: int) -> KetAst:
+        kind, text, value, span = self.tokens[self.pos]
         if depth >= _MAX_DEPTH:
-            raise KetSyntaxError("expression nested too deeply", self.peek().span)
-        tok = self.peek()
-        if tok.kind == "-":
+            raise KetSyntaxError("expression nested too deeply", span)
+        if kind == "-":
             self.advance()
             child = self.factor(depth + 1)
-            return Negation(child, (tok.span[0], child.span[1]))
-        if tok.kind == "number":
+            return Negation(child, (span[0], child.span[1]))
+        if kind == "number":
             self.advance()
-            return ComplexLiteral(complex(tok.value), tok.span)
-        if tok.kind == "ket":
+            return ComplexLiteral(complex(value), span)
+        if kind == "ket":
             self.advance()
-            return KetLiteral(tok.text, tok.span)
-        if tok.kind == "(":
+            return KetLiteral(text, span)
+        if kind == "(":
             self.advance()
             inner = self.expr(depth + 1)
             closing = self.expect(")", "')'")
-            return replace(inner, span=(tok.span[0], closing.span[1]))
-        if tok.kind == "ident":
+            return replace(inner, span=(span[0], closing[1]))
+        if kind == "ident":
             self.advance()
-            if tok.text in _FUNCTIONS:
-                self.expect("(", f"'(' after {tok.text}")
+            if text in _FUNCTIONS:
+                self.expect("(", f"'(' after {text}")
                 arg = self.expr(depth + 1)
                 closing = self.expect(")", "')'")
-                return FunctionCall(tok.text, arg, (tok.span[0], closing.span[1]))
-            if tok.text in _CONSTANTS:
-                return NamedConstant(tok.text, tok.span)
-            raise KetSyntaxError(f"unknown identifier {tok.text!r}", tok.span)
-        raise KetSyntaxError("expected a number, constant, ket or '('", tok.span)
+                return FunctionCall(text, arg, (span[0], closing[1]))
+            if text in _CONSTANTS:
+                return NamedConstant(text, span)
+            raise KetSyntaxError(f"unknown identifier {text!r}", span)
+        raise KetSyntaxError("expected a number, constant, ket or '('", span)
 
 
 def parse_ket(text: str) -> KetAst:
@@ -264,22 +250,22 @@ def parse_ket(text: str) -> KetAst:
         raise KetSyntaxError("empty expression", (0, len(text)))
     parser = _Parser(_lex(text))
     ast = parser.expr(depth=0)
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise KetSyntaxError("unexpected trailing input", trailing.span)
+    kind, _, _, span = parser.tokens[parser.pos]
+    if kind != "eof":
+        raise KetSyntaxError("unexpected trailing input", span)
     # one token per KetLiteral of the AST, in source order; the span is the ket's
     # own, without the parentheses a KetLiteral node's span may include
-    kets = [tok for tok in parser.tokens if tok.kind == "ket"]
-    for tok in kets:
-        if len(tok.text) > MAX_QUBITS:
+    kets = [(bits, span) for kind, bits, _, span in parser.tokens if kind == "ket"]
+    for bits, span in kets:
+        if len(bits) > MAX_QUBITS:
             raise KetWidthError(
-                f"ket width {len(tok.text)} exceeds the limit of {MAX_QUBITS} qubits",
-                tok.span,
+                f"ket width {len(bits)} exceeds the limit of {MAX_QUBITS} qubits",
+                span,
             )
-        if len(tok.text) != len(kets[0].text):
+        if len(bits) != len(kets[0][0]):
             raise KetWidthError(
-                f"ket width {len(tok.text)} does not match width {len(kets[0].text)}",
-                tok.span,
+                f"ket width {len(bits)} does not match width {len(kets[0][0])}",
+                span,
             )
     return ast
 

@@ -112,7 +112,10 @@ def make_state(
     if scale == 0.0:
         raise DegenerateStateError("all-zero amplitude vector")
     if normalize_policy == "renormalize":
-        amps = amps / scale
+        # divide the real and imaginary parts: a complex array divided by a
+        # real scalar is multiplied by 1/scale, which overflows for a
+        # subnormal scale, while no part exceeds scale in modulus
+        amps = (np.ascontiguousarray(amps).view(np.float64) / scale).view(np.complex128)
         amps /= np.linalg.norm(amps)
     return PureState(n_qubits, amps)
 

@@ -223,6 +223,22 @@ def test_overflowing_expression_with_renormalize_exit_two(capsys):
     assert captured.err.startswith("entpot:") and "finite" in captured.err
 
 
+@pytest.mark.filterwarnings("error")
+def test_subnormal_expression_with_renormalize_exit_zero(capsys):
+    assert run(["analyze", "--expr", "1e-320*|01>+1e-320*|10>", "--renormalize"]) == 0
+    captured = capsys.readouterr()
+    assert "pi_ME = 0.5" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_subnormal_json_state_with_renormalize_exit_zero(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"n": 2, "amplitudes": [[0, 0], [1e-320, 0], [0, 1e-320], [0, 0]]}))
+    assert run(["analyze", "--file", str(path), "--renormalize"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_boolean_qubit_count_in_json_exit_two(tmp_path, capsys):
     path = tmp_path / "bool.json"
     path.write_text(json.dumps({"n": True, "amplitudes": [[1, 0], [0, 0]]}))

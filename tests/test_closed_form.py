@@ -9,7 +9,8 @@ from entpot.closed_form import (
     PAIR_WEIGHT_BY_DISTANCE,
     PAIRS,
     QUARTIC_WEIGHT,
-    _k2_terms,
+    _CROSS_X,
+    _CROSS_Y,
     _pair_purities,
     k1_of_amplitudes,
     k1_value,
@@ -100,9 +101,13 @@ def test_k2_nonnegative():
         assert k2_value(random_state(4, rng)) >= 0.0
 
 
+#: Left and right index quadruples of the 36 cross-overlap terms, six per
+#: balanced bipartition in PAIRS order: the Gram kernel's K2 row tables.
+_K2_LEFT, _K2_RIGHT = _CROSS_X.reshape(36, 4), _CROSS_Y.reshape(36, 4)
+
+
 def test_k2_has_36_terms_six_per_bipartition():
-    left, right = _k2_terms()
-    assert left.shape == right.shape == (36, 4)
+    assert _CROSS_X.shape == _CROSS_Y.shape == (6, 6, 4)
 
 
 #: Printed first and last cross-overlap term of each six-term block, as
@@ -125,13 +130,12 @@ _PRINTED_BLOCK_ENDS = {
 
 def test_k2_spot_check_against_printed_blocks():
     """First and last printed term of each block appear among the generated terms."""
-    left, right = _k2_terms()
     blocks = {}
     for b, pair in enumerate(PAIRS):
         terms = []
         for t in range(6):
             row = 6 * b + t
-            terms.append(frozenset(zip(left[row].tolist(), right[row].tolist())))
+            terms.append(frozenset(zip(_K2_LEFT[row].tolist(), _K2_RIGHT[row].tolist())))
         blocks[pair] = terms
     for pair, (first, last) in _PRINTED_BLOCK_ENDS.items():
         assert frozenset(first) in blocks[pair]
@@ -140,9 +144,8 @@ def test_k2_spot_check_against_printed_blocks():
 
 def _k2_from_printed_terms(amps):
     """K2 term by term from the 36-term listing: 2 sum_t |sum_j a[l_tj] conj(a[r_tj])|^2."""
-    left, right = _k2_terms()
     total = np.zeros(amps.shape[:-1])
-    for l_row, r_row in zip(left, right):
+    for l_row, r_row in zip(_K2_LEFT, _K2_RIGHT):
         overlap = sum(amps[..., i] * np.conj(amps[..., j]) for i, j in zip(l_row, r_row))
         total += 2.0 * np.abs(overlap) ** 2
     return total

@@ -12,6 +12,7 @@ from entpot.errors import (
     NormalizationError,
 )
 from entpot.ket_parser import (
+    ComplexLiteral,
     FunctionCall,
     KetLiteral,
     Product,
@@ -174,6 +175,71 @@ def test_chain_error_spans_the_chain_up_to_the_failing_element(text, span):
 def test_syntax_errors(text):
     with pytest.raises(KetSyntaxError):
         parse_ket(text)
+
+
+def _assert_syntax_error(text, message, span):
+    with pytest.raises(KetSyntaxError) as err:
+        parse_ket(text)
+    assert type(err.value) is KetSyntaxError
+    assert str(err.value) == f"{message} (at {span[0]}..{span[1]})"
+    assert err.value.span == span
+
+
+@pytest.mark.parametrize("text,span", [
+    ("٣|0>", (0, 1)),   # ARABIC-INDIC DIGIT THREE: float() reads it as 3
+    ("１|0>", (0, 1)),   # FULLWIDTH DIGIT ONE
+    ("ｉ|0>", (0, 1)),   # FULLWIDTH LATIN SMALL LETTER I
+    ("|0>²", (3, 4)),   # SUPERSCRIPT TWO: str.isdigit accepts it
+])
+def test_unicode_lookalikes_are_illegal_characters(text, span):
+    _assert_syntax_error(text, f"illegal character {text[span[0]]!r}", span)
+
+
+@pytest.mark.parametrize("space", ["\xa0", "\u2028", "\x1c"])
+def test_unicode_whitespace_between_terms_is_skipped(space):
+    text = f"{space}|0>{space}+{space}2{space}|1>{space}"
+    ast = parse_ket(text)
+    assert isinstance(ast, Sum)
+    assert ast == parse_ket(text.replace(space, " "))
+
+
+@pytest.mark.parametrize("text,name,span", [
+    ("1e|0>", "e", (1, 2)),      # no exponent digits: the 'e' is an identifier
+    ("1e+|0>", "e", (1, 2)),
+    ("1e5e|0>", "e", (3, 4)),
+])
+def test_exponent_without_digits_leaves_an_identifier(text, name, span):
+    _assert_syntax_error(text, f"unknown identifier {name!r}", span)
+
+
+@pytest.mark.parametrize("text,value,end", [
+    ("1.e1|0>", 10.0, 4),
+    (".5|0>", 0.5, 2),
+    ("5.|0>", 5.0, 2),
+])
+def test_number_forms(text, value, end):
+    assert parse_ket(text) == Product(
+        (ComplexLiteral(value, (0, end)), KetLiteral("0", (end, end + 3))),
+        ("*", "*"),
+        (0, end + 3),
+    )
+
+
+def test_two_dots_split_into_two_numbers():
+    assert parse_ket("1..2") == Product(
+        (ComplexLiteral(1.0, (0, 2)), ComplexLiteral(0.2, (2, 4))), ("*", "*"), (0, 4)
+    )
+
+
+@pytest.mark.parametrize("text,message,span", [
+    ("|", "expected bits after '|'", (0, 1)),
+    ("|>", "expected bits after '|'", (0, 1)),
+    ("|01", "unterminated ket, expected '>'", (0, 3)),
+    ("|012>", "unterminated ket, expected '>'", (0, 3)),
+    ("|0 1>", "unterminated ket, expected '>'", (0, 2)),
+])
+def test_ket_lexing_errors(text, message, span):
+    _assert_syntax_error(text, message, span)
 
 
 def test_deep_nesting_is_rejected_not_crashing():

@@ -91,6 +91,20 @@ def test_make_state_rejects_a_zero_dimensional_array():
         make_state(1, np.array(1.0 + 0j))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("modulus", [1e-320, 5e-324])
+def test_make_state_renormalizes_subnormal_amplitudes(modulus):
+    # 1/modulus overflows, so the parts must be divided by the modulus itself
+    state = make_state(2, [modulus, 0, 0, -1j * modulus], "renormalize")
+    np.testing.assert_allclose(state.amplitudes, [0.5**0.5, 0, 0, -1j * 0.5**0.5], atol=1e-16)
+
+
+def test_make_state_renormalizes_a_strided_array():
+    amps = np.arange(1, 9, dtype=np.complex128)[::2]
+    state = make_state(2, amps, "renormalize")
+    np.testing.assert_allclose(state.amplitudes, amps / np.linalg.norm(amps), rtol=1e-15)
+
+
 def test_make_state_zero_vector():
     with pytest.raises(DegenerateStateError):
         make_state(2, [0, 0, 0, 0], "renormalize")
