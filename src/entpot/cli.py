@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: ``analyze`` (full bipartition report), ``check`` (maximal
-entanglement verdict; exit 0 yes / 1 no), ``minimize`` (potential
-minimization), ``states`` (catalog listing/emission), ``parse``
+entanglement verdict; exit 0 yes / 1 no / 4 not claimed), ``minimize``
+(potential minimization), ``states`` (catalog listing/emission), ``parse``
 (expression validation).
 
 Exit codes: 0 success (or verdict yes), 1 verdict no, 2 parse/validation
 error, including input above ``qstate.MAX_QUBITS`` qubits and running out
-of memory, 3 I/O error, 64 usage error.
+of memory, 3 I/O error, 4 verdict not claimed (``check`` of a state with
+neither the four-qubit criterion nor a registered lower bound on pi_ME,
+a Bell state for one), 64 usage error.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_NOT_MMES = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+EXIT_NOT_CLAIMED = 4
 EXIT_USAGE = 64
 
 #: ``minimize`` reports its one descent method, so its output keeps the ``method`` key.
@@ -161,20 +164,23 @@ def _cmd_analyze(ns) -> int:
     return EXIT_OK
 
 
+#: ``check``'s exit code and text answer for each verdict of ``analyze``.
+_CHECK_EXITS = {"mmes": EXIT_OK, "not_mmes": EXIT_NOT_MMES, "not_claimed": EXIT_NOT_CLAIMED}
+_CHECK_ANSWERS = {"mmes": "yes", "not_mmes": "no", "not_claimed": "unclaimed"}
+
+
 def _cmd_check(ns) -> int:
     report = analyze(_resolve_state(ns), ns.tol)
-    is_mmes = report.verdict == "mmes"
     if ns.format == "json":
         print(json.dumps(report.to_json_dict()))
-        return EXIT_OK if is_mmes else EXIT_NOT_MMES
+        return _CHECK_EXITS[report.verdict]
     if report.k_total is not None:
-        rel = "<=" if is_mmes else ">"
-        print(f"MMES: {'yes' if is_mmes else 'no'} "
-              f"(K = {report.k_total:.1e} {rel} {report.tol:g})")
+        rel = "<=" if report.verdict == "mmes" else ">"
+        detail = f"K = {report.k_total:.1e} {rel} {report.tol:g}"
     else:
         detail = report.note or f"pi_ME = {_fmt(report.pi_me)}"
-        print(f"MMES: {'yes' if is_mmes else 'no'} ({detail})")
-    return EXIT_OK if is_mmes else EXIT_NOT_MMES
+    print(f"MMES: {_CHECK_ANSWERS[report.verdict]} ({detail})")
+    return _CHECK_EXITS[report.verdict]
 
 
 def _cmd_minimize(ns) -> int:

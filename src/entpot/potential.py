@@ -2,7 +2,8 @@
 
 For four qubits the maximal-entanglement verdict uses the closed-form
 criterion K1 + K2 = 0; for other qubit counts a verdict is only claimed
-when a lower bound on the potential is registered.
+when a lower bound on the potential is registered, and is "not_claimed"
+otherwise.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ class BipartitionReport:
     k1: float | None
     k2: float | None
     k_total: float | None
-    verdict: str  # "mmes" | "not_mmes"
+    verdict: str  # "mmes" | "not_mmes" | "not_claimed"
     tol: float
     note: str | None = None
 
@@ -73,7 +74,8 @@ def analyze(state: PureState, tol: float = DEFAULT_TOL) -> BipartitionReport:
 
     Four-qubit states get the closed-form criterion verdict (K1 + K2 within
     ``tol`` of zero); other sizes are compared against a registered lower
-    bound when one exists, and otherwise reported without a claim.
+    bound when one exists, and otherwise reported with the verdict
+    ``"not_claimed"``.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ConfigError(f"tolerance must be finite and positive, got {tol}")
@@ -91,7 +93,7 @@ def analyze(state: PureState, tol: float = DEFAULT_TOL) -> BipartitionReport:
     bound = LOWER_BOUNDS.get(n)
     if bound is None:
         return BipartitionReport(
-            n, purities, potential, None, None, None, "not_mmes", tol,
+            n, purities, potential, None, None, None, "not_claimed", tol,
             note=f"no known pi_ME lower bound for n={n}; verdict not claimed",
         )
     verdict = "mmes" if potential - bound <= tol else "not_mmes"

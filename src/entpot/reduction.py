@@ -7,6 +7,31 @@ squared Frobenius norm. ``balanced_purities`` runs every balanced subset of
 one n through chunks of a stacked index, so the whole potential is a few
 batched products.
 
+Blocks of at most ``_ENTRY_ROUTE_AMPLITUDES`` = 16 amplitudes (n <= 4)
+take a second route through the same chunks and buffers. A batched
+product of 4x4 blocks costs about 0.3-0.5 us per block for 64
+multiply-adds, nearly all of it per-block overhead, so there the purity is
+summed from Gram entries instead:
+Tr rho^2 = sum_x G[x, x]^2 + 2 sum_{x<y} |G[x, y]|^2, with
+G[x, y] = sum_z M[x, z] conj(M[y, z]) for x <= y, each entry an
+elementwise product of two rows gathered from ``balanced_index``. The
+route follows the block size alone. Time per call, product route -> entry
+route (2-vCPU Intel Xeon, one BLAS thread, numpy 2.4.6; single states:
+medians of five alternating processes, batches: medians of seven
+interleaved rounds in one process):
+
+    n  block  1 state             10^3 states         2x10^5 states
+    2  2x2    19.7 -> 16.9 us     0.32 -> 0.043 ms    63 -> 7.6 ms
+    3  2x4    18.6 -> 17.2 us     0.94 -> 0.22 ms     186 -> 30 ms
+    4  4x4    20.3 -> 17.8 us     1.13 -> 0.47 ms     226 -> 102 ms
+    5  4x8    21.4 -> 20.8 us     4.2 -> 3.1 ms       971 -> 750 ms
+    6  8x8    25 -> 30 us         6.4 -> 13.5 ms
+
+n = 5 stays on the product route: its batches would gain 1.3-1.4x, but a
+single state gained 3-12% in medians and lost in a quarter of the runs,
+within the host's run-to-run spread, and no caller batches five-qubit
+states.
+
 The index of a subset is a bit permutation, so index[x, z] splits into
 kept[x] + traced[z]. ``balanced_offsets`` keeps only these two parts,
 C(n, k) (2^k + 2^(n-k)) entries (3.5 MB at n = 14 against 225 MB for the
@@ -71,6 +96,11 @@ _CHUNK_ELEMENTS = 1 << 14
 #: Expanding per chunk at n <= 10 instead cost 7-58% more kernel time at
 #: n = 5..10 (2-vCPU Intel Xeon, one BLAS thread).
 CACHED_INDEX_QUBITS = 10
+
+#: Largest block, in amplitudes (2^n), that ``balanced_purities`` sums from
+#: Gram entries instead of forming rho = M M^H by batched products: the
+#: module docstring gives the measurements behind it.
+_ENTRY_ROUTE_AMPLITUDES = 16
 
 #: Per-thread work buffers of ``balanced_purities``, see ``_chunk_buffers``.
 _scratch = threading.local()
@@ -212,7 +242,9 @@ def _chunk_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Three complex work buffers and one intp buffer of ``_CHUNK_ELEMENTS``
     entries, which hold one subset of one state up to ``MAX_QUBITS``: the
     gathered blocks, their conjugates, rho, and the chunk's gather index
-    where ``balanced_index`` is not cached.
+    where ``balanced_index`` is not cached. The Gram-entry route keeps its
+    two row gathers in the first two and the chunk's amplitudes, then its
+    Gram entries, in the third.
 
     They are made once per thread and reused. With new arrays for every
     chunk, malloc gave the few hundred KiB back to the system after each
@@ -229,19 +261,62 @@ def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buffer[: prod(shape)].reshape(shape)
 
 
-def balanced_purities(amps: np.ndarray, n: int) -> np.ndarray:
-    """Tr rho_A^2 of every balanced subset, in ``balanced_subsets`` order.
+@lru_cache(maxsize=None)
+def _entry_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-pair gather tables of the Gram entries x <= y of every kernel block.
 
-    ``amps`` is (..., 2**n); the result is (..., C(n, floor(n/2))).
+    ``rows_x[z, s, e]`` and ``rows_y[z, s, e]`` are ``balanced_index(n)[s, x, z]``
+    and ``[s, y, z]`` for the e-th pair (x, y) of ``triu_indices(2^k)``, so
+    G[x, y] = sum_z M[x, z] conj(M[y, z]) is a product of the two gathers
+    summed over z. ``weights[e]`` is the weight of |G[x, y]|^2 in Tr rho^2:
+    1 on the diagonal, 2 above it for the mirrored entry below.
     """
+    index = balanced_index(n)
+    x, y = np.triu_indices(index.shape[1])
+    rows_x, rows_y = (np.ascontiguousarray(index[:, rows].transpose(2, 0, 1)) for rows in (x, y))
+    weights = np.where(x == y, 1.0, 2.0)
+    for table in (rows_x, rows_y, weights):
+        table.flags.writeable = False
+    return rows_x, rows_y, weights
+
+
+def _entry_purities(flat: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Tr rho^2 of the kernel's subsets into ``out`` (states, S), summed from
+    Gram entries: the small-block route of ``balanced_purities``.
+
+    Each chunk lays its states out innermost, amplitude by state, so every
+    gather copies whole rows and the product, the sum over z and the squares
+    run over contiguous runs of states.
+    """
+    rows_x, rows_y, weights = _entry_tables(n)
+    states = max(1, _CHUNK_ELEMENTS // rows_x.size)
+    left, right, entries, _ = _chunk_buffers()
+    for b0 in range(0, flat.shape[0], states):
+        rows = flat[b0 : b0 + states]
+        shape = rows_x.shape + (len(rows),)
+        # amplitude-major copy of the chunk; rho's buffer is free until the sum below
+        columns = _view(entries, (1 << n, len(rows)))
+        np.copyto(columns, rows.T)
+        m_x = np.take(columns, rows_x, axis=0, mode="clip", out=_view(left, shape))
+        m_y = np.take(np.conjugate(columns, out=columns), rows_y, axis=0, mode="clip",
+                      out=_view(right, shape))
+        g = np.add.reduce(np.multiply(m_x, m_y, out=m_x), axis=0, out=_view(entries, shape[1:]))
+        # a complex G viewed as its real dtype lists re, im interleaved
+        parts = g.view(np.float64)
+        squares = weights @ np.square(parts, out=parts)
+        np.add(squares[:, 0::2], squares[:, 1::2], out=out[b0 : b0 + states].T)
+
+
+def _product_purities(flat: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Tr rho^2 of the kernel's subsets into ``out`` (states, S) from gathered
+    blocks and batched products rho = M M^H: the route of blocks above
+    ``_ENTRY_ROUTE_AMPLITUDES``."""
     kept, traced = balanced_offsets(n)
     cached = balanced_index(n) if n <= CACHED_INDEX_QUBITS else None
-    flat = np.asarray(amps, dtype=np.complex128).reshape(-1, 1 << n)
     # chunks of subsets x states whose gathered blocks stay cache-sized
     subsets = min(len(kept), max(1, _CHUNK_ELEMENTS >> n))
     states = max(1, _CHUNK_ELEMENTS // (subsets << n))
     gather, conj, rho, scratch_index = _chunk_buffers()
-    out = np.empty((flat.shape[0], comb(n, n // 2)))
     for s0 in range(0, len(kept), subsets):
         s1 = min(s0 + subsets, len(kept))
         if cached is None:
@@ -255,9 +330,30 @@ def balanced_purities(amps: np.ndarray, n: int) -> np.ndarray:
             block = np.take(rows, index, axis=1, mode="clip", out=_view(gather, shape))
             out[b0 : b0 + states, s0:s1] = gram_purities(
                 block, _view(conj, shape), _view(rho, shape[:-1] + shape[-2:-1]))[1]
-    if n % 2 == 0:  # the complements, in reverse order
-        half = len(kept)
-        out[:, half:] = out[:, half - 1 :: -1]
+
+
+def balanced_purities(amps: np.ndarray, n: int) -> np.ndarray:
+    """Tr rho_A^2 of every balanced subset, in ``balanced_subsets`` order.
+
+    ``amps`` is (..., 2**n); the result is (..., C(n, floor(n/2))). Blocks
+    of at most ``_ENTRY_ROUTE_AMPLITUDES`` amplitudes (n <= 4) are summed
+    from their Gram entries (``_entry_purities``), larger ones from batched
+    products rho = M M^H (``_product_purities``); the module docstring
+    gives the crossover. Either way, beyond the result (and a complex128
+    copy of input of another dtype), the memory it takes is a chunk-sized
+    constant.
+    """
+    half = len(balanced_offsets(n)[0])
+    flat = np.asarray(amps, dtype=np.complex128).reshape(-1, 1 << n)
+    out = np.empty((flat.shape[0], comb(n, n // 2)))
+    route = _entry_purities if 1 << n <= _ENTRY_ROUTE_AMPLITUDES else _product_purities
+    route(flat, n, out[:, :half])
+    if n % 2 == 0:
+        # the complements, in reverse order; a block of rows at a time, since
+        # numpy copies overlapping source columns to a temporary first
+        rows = max(1, _CHUNK_ELEMENTS // half)
+        for b0 in range(0, flat.shape[0], rows):
+            out[b0 : b0 + rows, half:] = out[b0 : b0 + rows, half - 1 :: -1]
     return out.reshape(np.shape(amps)[:-1] + (-1,))
 
 

@@ -317,3 +317,41 @@ def test_memory_error_exit_two(monkeypatch, capsys):
 def test_double_dash_option_value(argv, code, capsys):
     assert run(argv) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+BELL = "(|00>+|11>)/sqrt(2)"
+
+
+def test_check_bell_state_not_claimed_text(capsys):
+    """No lower bound is registered at n = 2, so check makes no claim either way."""
+    assert run(["check", "--expr", BELL]) == cli.EXIT_NOT_CLAIMED == 4
+    out = capsys.readouterr().out
+    assert out.startswith("MMES: unclaimed (")
+    assert "no known pi_ME lower bound for n=2; verdict not claimed" in out
+    assert "MMES: no" not in out
+
+
+def test_check_bell_state_not_claimed_json(capsys):
+    assert run(["check", "--expr", BELL, "--format", "json"]) == 4
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "not_claimed"
+    assert abs(data["pi_me"] - 0.5) < 1e-12
+    assert "n=2" in data["note"]
+
+
+def test_check_three_qubit_state_not_claimed(tmp_path, capsys):
+    state = random_state(3, np.random.default_rng(83))
+    path = tmp_path / "three.ket"
+    path.write_text(format_ket(state, precision=17))
+    assert run(["check", "--file", str(path)]) == 4
+    out = capsys.readouterr().out
+    assert out.startswith("MMES: unclaimed (") and "n=3" in out
+    assert run(["check", "--file", str(path), "--format", "json"]) == 4
+    data = json.loads(capsys.readouterr().out)
+    assert data["n"] == 3 and data["verdict"] == "not_claimed" and "n=3" in data["note"]
+
+
+def test_analyze_bell_state_reports_not_claimed_with_exit_zero(capsys):
+    assert run(["analyze", "--expr", BELL]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: not_claimed" in out and "note: no known pi_ME lower bound" in out

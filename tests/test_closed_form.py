@@ -1,9 +1,12 @@
+import ast
 import tracemalloc
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entpot
 from entpot import closed_form
 from entpot.closed_form import (
     PAIR_WEIGHT_BY_DISTANCE,
@@ -324,3 +327,35 @@ def test_comparison_report_mentions_every_discrepancy():
     report = comparison_report()
     assert report.count("MISMATCH") == len(_EXPECTED_DISCREPANCIES)
     assert "9 discrepant cell(s) out of 120" in report
+
+
+def entpot_imports(module):
+    """The entpot modules ``module`` imports, directly or through other entpot
+    modules, read from the source with ``ast``."""
+    root = Path(entpot.__file__).parent
+    found, todo = set(), [module]
+    while todo:
+        tree = ast.parse((root / f"{todo.pop()}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "entpot"):
+                base = node.module or ""
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                for part in name.split("."):
+                    if part not in found and (root / f"{part}.py").is_file():
+                        found.add(part)
+                        todo.append(part)
+    return found
+
+
+def test_closed_form_and_reduction_import_nothing_from_each_other():
+    """The two Gram kernels look alike; the closed forms cross-check the oracle
+    only while neither module reaches the other's code."""
+    assert "qstate" in entpot_imports("closed_form")  # the walker sees relative imports
+    assert "reduction" not in entpot_imports("closed_form")
+    assert "closed_form" not in entpot_imports("reduction")

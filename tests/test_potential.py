@@ -90,7 +90,7 @@ def test_non_four_qubit_report_has_no_criterion():
     rng = np.random.default_rng(71)
     report = analyze(random_state(3, rng))
     assert report.k1 is None and report.k2 is None and report.k_total is None
-    assert report.verdict == "not_mmes"
+    assert report.verdict == "not_claimed"
     assert report.note is not None and "n=3" in report.note
 
 

@@ -1,4 +1,5 @@
 import gc
+import sys
 import tracemalloc
 
 import numpy as np
@@ -195,7 +196,7 @@ def test_balanced_purities_complements_exactly_equal(n):
 
 def test_balanced_purities_short_last_chunk_and_real_input():
     rng = np.random.default_rng(600)
-    batch = random_amplitude_batch(4, 700, rng)  # 341 states a chunk: 341, 341, 18
+    batch = random_amplitude_batch(4, 700, rng)  # 136 states a chunk: five, then 20
     values = balanced_purities(batch, 4)
     for j, subset in enumerate(balanced_subsets(4)):
         np.testing.assert_allclose(values[:, j], subset_purity(batch, 4, subset),
@@ -335,3 +336,132 @@ def test_balanced_index_rejects_more_qubits_than_the_cap_before_allocating(monke
     assert peak < 1 << 20
     # so the per-thread chunk buffers hold one subset of one state at any allowed n
     assert 1 << MAX_QUBITS <= reduction._CHUNK_ELEMENTS
+
+
+#: Qubit counts whose blocks take the Gram-entry route: blocks of at most
+#: ``_ENTRY_ROUTE_AMPLITUDES`` amplitudes.
+ENTRY_NS = [n for n in range(2, MAX_QUBITS + 1) if 1 << n <= reduction._ENTRY_ROUTE_AMPLITUDES]
+
+
+def entry_chunk(n):
+    """States per chunk of the Gram-entry route at n."""
+    return reduction._CHUNK_ELEMENTS // reduction._entry_tables(n)[0].size
+
+
+def assert_matches_per_subset(values, amps, n):
+    """``values`` (..., C(n, n/2)) equal the per-subset BLAS route to 1e-14."""
+    for j, subset in enumerate(balanced_subsets(n)):
+        np.testing.assert_allclose(values[..., j], subset_purity(amps, n, subset),
+                                   rtol=0, atol=1e-14)
+
+
+def test_entry_route_covers_up_to_four_qubits():
+    assert ENTRY_NS == [2, 3, 4]
+
+
+@pytest.mark.parametrize("n", ENTRY_NS)
+def test_entry_route_single_states_and_batch_sizes_around_the_chunk(n):
+    rng = np.random.default_rng(810 + n)
+    for _ in range(5):
+        amps = random_state(n, rng).amplitudes
+        values = balanced_purities(amps, n)
+        assert values.shape == (len(balanced_subsets(n)),)
+        assert_matches_per_subset(values, amps, n)
+    chunk = entry_chunk(n)
+    for count in (1, chunk - 1, chunk, chunk + 1, 1000):
+        batch = random_amplitude_batch(n, count, rng)
+        values = balanced_purities(batch, n)
+        assert values.shape == (count, len(balanced_subsets(n)))
+        assert_matches_per_subset(values, batch, n)
+
+
+@pytest.mark.parametrize("n", ENTRY_NS)
+def test_entry_route_leading_axes_strides_and_real_input(n):
+    rng = np.random.default_rng(820 + n)
+    batch = random_amplitude_batch(n, 12, rng).reshape(2, 3, 2, 1 << n)
+    values = balanced_purities(batch, n)
+    assert values.shape == (2, 3, 2, len(balanced_subsets(n)))
+    assert_matches_per_subset(values, batch, n)
+    np.testing.assert_array_equal(values.reshape(12, -1), balanced_purities(batch.reshape(12, -1), n))
+
+    wide = random_amplitude_batch(n + 1, 40, rng)
+    strided = wide[::3, ::2]  # every other amplitude of every third row
+    assert not strided.flags.c_contiguous
+    assert_matches_per_subset(balanced_purities(strided, n), strided, n)
+    np.testing.assert_array_equal(balanced_purities(strided, n),
+                                  balanced_purities(np.ascontiguousarray(strided), n))
+
+    real = batch.real / np.linalg.norm(batch.real, axis=-1, keepdims=True)
+    assert_matches_per_subset(balanced_purities(real, n), real, n)
+    np.testing.assert_array_equal(balanced_purities(real, n),
+                                  balanced_purities(real.astype(complex), n))
+
+
+@pytest.mark.parametrize("n", ENTRY_NS)
+def test_entry_route_complement_symmetry(n):
+    rng = np.random.default_rng(830 + n)
+    batch = random_amplitude_batch(n, 300, rng)
+    values = balanced_purities(batch, n)
+    subsets = balanced_subsets(n)
+    everyone = set(range(1, n + 1))
+    for j, subset in enumerate(subsets):
+        complement = tuple(sorted(everyone - set(subset)))
+        if len(complement) == len(subset):  # even n: the complement is listed too
+            np.testing.assert_array_equal(values[:, subsets.index(complement)], values[:, j])
+        else:  # odd n: Tr rho_A^2 = Tr rho_Abar^2 for a pure state
+            np.testing.assert_allclose(subset_purity(batch, n, complement), values[:, j],
+                                       rtol=0, atol=1e-14)
+
+
+def test_entry_route_agrees_across_threads():
+    """More threads than cores share the cached tables, each with its own buffers."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(845)
+    batches = [random_amplitude_batch(4, 300, rng) for _ in range(4)]
+    want = [balanced_purities(batch, 4) for batch in batches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = list(pool.map(lambda batch: [balanced_purities(batch, 4) for _ in range(30)],
+                                 batches, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for expected, got in zip(want, runs):
+        assert len(got) == 30
+        for values in got:
+            np.testing.assert_array_equal(values, expected)
+
+
+def test_route_boundary(monkeypatch):
+    """The last n on the Gram-entry route and the first on batched products."""
+    last = max(ENTRY_NS)
+    rng = np.random.default_rng(840)
+
+    def not_this_route(*args):
+        raise AssertionError("wrong route")
+
+    for n, other in ((last, "_product_purities"), (last + 1, "_entry_purities")):
+        with monkeypatch.context() as patch:
+            patch.setattr(reduction, other, not_this_route)
+            amps = random_state(n, rng).amplitudes
+            batch = random_amplitude_batch(n, 500, rng)
+            assert_matches_per_subset(balanced_purities(amps, n), amps, n)
+            assert_matches_per_subset(balanced_purities(batch, n), batch, n)
+
+
+@pytest.mark.parametrize("count", [10_000, 100_000])
+def test_entry_route_memory_is_the_output_plus_a_chunk_sized_constant(count):
+    """A four-qubit batch adds only its output and a constant to the input."""
+    batch = random_amplitude_batch(4, count, np.random.default_rng(850))
+    balanced_purities(batch[:1], 4)  # tables and this thread's buffers exist already
+    tracemalloc.start()
+    try:
+        values = balanced_purities(batch, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (count, 6)
+    # far less than one gathered table of the batch (120 amplitudes per state)
+    assert peak <= values.nbytes + reduction._CHUNK_ELEMENTS * 16
