@@ -7,11 +7,37 @@ For a balanced pair, bucket the amplitudes by kept-bit pattern x and
 traced-bit pattern z into a 4x4 block g. Its Gram entries
 G[x, y] = sum_z g[x, z] conj(g[y, z]) are the four squared group norms
 (x = y) and the six cross-overlaps (x < y), and the pair purity is
-sum_x G[x, x]^2 + 2 sum_{x<y} |G[x, y]|^2. One kernel gathers, for all six
-pairs at once, the block rows each of these ten entries needs and forms
-them in chunks of states, so its temporaries stay cache-sized whatever the
-batch. The pair purities weight the entries as above; K2 is twice the
-summed squared cross-overlaps of all six pairs, 36 terms.
+sum_x G[x, x]^2 + 2 sum_{x<y} |G[x, y]|^2. K2 is twice the summed squared
+cross-overlaps of all six pairs, 36 terms.
+
+A cross-overlap sums four products a_i conj(a_j) whose indices differ only
+in the pair's kept bits, and only 80 such products exist:
+  * 32 at Hamming distance 1, where one qubit r flips. Each feeds the three
+    pairs that hold r: pair {r, s} sums the four that share s's bit.
+  * 48 at distance 2, where both bits of one pair flip. Each feeds one entry.
+The kernel takes a chunk of states, copies it amplitude-major (16, states)
+so that every step runs along contiguous runs of states, gathers the 80
+left amplitudes and the 80 conjugated right ones with one ``np.take`` each
+and multiplies them in place. The 36 entries are then reshape sums with no
+further gather: the distance-1 block viewed as (4, 2, 2, 2, states) and
+summed over two of its three bit axes, once for each, and the distance-2
+block as (12, 4, states) over its second axis. The pair purities add the
+squared group norms, sums of |a_i|^2, to their six doubled entries. A
+single state skips the chunk: its 80 products times a fixed 0/1 table give
+the entries in fewer numpy calls than the sums take.
+
+States per chunk, against K1 and K2 time per call on 10^3 and 2x10^5 Haar
+states (2-vCPU Xeon, 2 MiB L2 per core, one BLAS thread; medians of 11
+interleaved rounds in one process):
+
+    ======  ===========  ===========  ===========  ===========
+    states  K1, 10^3     K1, 2x10^5   K2, 10^3     K2, 2x10^5
+    ======  ===========  ===========  ===========  ===========
+    128     0.120 ms     33.8 ms      0.62 ms      123 ms
+    256     0.085 ms     19.2 ms      0.41 ms      87 ms
+    384     0.081 ms     16.6 ms      0.39 ms      81 ms
+    512     0.060 ms     15.8 ms      0.44 ms      88 ms
+    ======  ===========  ===========  ===========  ===========
 
 Convention: K is reported such that K = 2 * (3 * pi_ME - 1) on normalized
 states. Under this convention the known example values hold (K = 1 for the
@@ -21,6 +47,7 @@ entanglement criterion is K1 + K2 = 0.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -33,12 +60,10 @@ from .qstate import PureState
 #: The six balanced pair bipartitions of four qubits, ascending order.
 PAIRS: tuple[tuple[int, int], ...] = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
-#: Unordered pairs of kept-bit patterns, lexicographic.
-_PATTERN_PAIRS = tuple((x, y) for x in range(4) for y in range(x + 1, 4))
 
-
-def _kept_bit(i: int, q: int) -> int:
-    return (i >> (4 - q)) & 1
+def _bit(q: int) -> int:
+    """The index bit of qubit q; qubit 1 is the most significant of four."""
+    return 1 << (4 - q)
 
 
 @lru_cache(maxsize=None)
@@ -53,79 +78,170 @@ def _pair_groups(pair: tuple[int, int]) -> np.ndarray:
     t1, t2 = (q for q in (1, 2, 3, 4) if q not in pair)
     table = np.empty((4, 4), dtype=np.intp)
     for i in range(16):
-        x = (_kept_bit(i, q1) << 1) | _kept_bit(i, q2)
-        z = (_kept_bit(i, t1) << 1) | _kept_bit(i, t2)
+        x = (bool(i & _bit(q1)) << 1) | bool(i & _bit(q2))
+        z = (bool(i & _bit(t1)) << 1) | bool(i & _bit(t2))
         table[x, z] = i
     table.flags.writeable = False
     return table
 
 
-def _require_four_qubits(state: PureState) -> np.ndarray:
-    if state.n_qubits != 4:
-        raise ArityError(f"closed forms are four-qubit only, got n={state.n_qubits}")
-    return state.amplitudes
-
-
-#: Gram entries a pair's closed forms use, as block row pairs (x, y): the
-#: diagonal, whose entries are the squared group norms, then the cross-overlaps.
-_ENTRIES = tuple((x, x) for x in range(4)) + _PATTERN_PAIRS
-#: Weight of |G[x, y]|^2 in a pair purity: once on the diagonal, twice above
-#: it for the mirrored entry below, since G is Hermitian.
-_PURITY_WEIGHTS = np.array([1.0] * 4 + [2.0] * 6)
-
-#: Gather tables (pair, entry, z) of the block rows x and y of every entry:
-#: ``amps[..., _ROWS_X]`` equals the stacked blocks ``amps[..., groups]``
-#: indexed at rows x, gathered in one step without the blocks in between.
-_ROWS_X, _ROWS_Y = (
-    np.stack([_pair_groups(pair)[list(rows)] for pair in PAIRS])
-    for rows in zip(*_ENTRIES)
-)
-#: The same tables for the cross-overlaps alone, which are all K2 needs.
-_CROSS_X, _CROSS_Y = (np.ascontiguousarray(t[:, 4:]) for t in (_ROWS_X, _ROWS_Y))
-
-#: States per chunk of the Gram kernel. A K2 chunk's two row gathers take
-#: 2.3 KiB per state each, 288 KiB at 128 states, and the product is formed
-#: in the first of them, so a chunk stays inside the L2 cache. Of 64..512,
-#: 128 was fastest for 10^3 and for 2x10^5 states: 1.2 ms and 0.24 s, against
-#: 1.4 ms and 0.28 s at 512 (2-vCPU Xeon, 2 MiB L2 per core, medians). From
-#: 192 up, a fresh process took about 900 page faults per 10^3-state call,
-#: where malloc mapped each chunk's temporaries anew; 128 took none.
-_CHUNK_STATES = 128
-
-
-def _gram(amps: np.ndarray, rows_x: np.ndarray, rows_y: np.ndarray) -> np.ndarray:
-    """Gram entries sum_z g[x, z] conj(g[y, z]) of the six pair blocks g, for
-    the row tables ``rows_x`` and ``rows_y``: shape (..., 6, entries)."""
-    left, right = amps[..., rows_x], amps[..., rows_y]
-    return np.multiply(left, np.conjugate(right, out=right), out=left).sum(axis=-1)
-
-
-def _k2_chunk(amps: np.ndarray) -> np.ndarray:
-    cross = _gram(amps, _CROSS_X, _CROSS_Y)
-    return 2.0 * np.einsum("...pk,...pk->...", cross, np.conj(cross)).real
-
-
-def _purities_chunk(amps: np.ndarray) -> np.ndarray:
-    gram = _gram(amps, _ROWS_X, _ROWS_Y)
-    return (gram.real**2 + gram.imag**2) @ _PURITY_WEIGHTS
-
-
-def _over_chunks(kernel, amps: np.ndarray) -> np.ndarray:
-    """``kernel`` over chunks of at most ``_CHUNK_STATES`` states of ``amps`` (..., 16)."""
+def _four_qubit_amplitudes(amps: np.ndarray) -> np.ndarray:
+    """``amps`` as an array of states along its last axis, which must hold 16
+    amplitudes; any other width raises ArityError."""
     amps = np.asarray(amps)
-    lead = amps.shape[:-1]
-    count = prod(lead)
-    if count <= _CHUNK_STATES:
-        return kernel(amps)
-    flat = amps.reshape(count, 16)
-    parts = [kernel(flat[start:start + _CHUNK_STATES])
-             for start in range(0, count, _CHUNK_STATES)]
-    return np.concatenate(parts).reshape(lead + parts[0].shape[1:])
+    width = amps.shape[-1] if amps.ndim else 1
+    if width != 16:
+        got = (f"n={width.bit_length() - 1}" if width & (width - 1) == 0 and width
+               else f"{width} amplitudes per state")
+        raise ArityError(f"closed forms are four-qubit only, got {got}")
+    return amps
+
+
+def _require_four_qubits(state: PureState) -> np.ndarray:
+    return _four_qubit_amplitudes(state.amplitudes)
+
+
+def _others(r: int) -> tuple[int, ...]:
+    return tuple(q for q in (1, 2, 3, 4) if q != r)
+
+
+def _product_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Left and right indices of the 80 products a_i conj(a_j) the cross
+    entries sum, each pair (i, j) ordered as in G[x, y] with x < y.
+
+    The first 32, viewed as (4, 2, 2, 2), flip qubit r; the bits of the other
+    three qubits, ascending, index the rest. The last 48, viewed as
+    (6, 2, 4), flip both kept bits of a pair in ``PAIRS``, from x = 00 to 11
+    and from 01 to 10, over the four traced-bit patterns z.
+    """
+    left, right = [], []
+    for r in (1, 2, 3, 4):
+        for bits in range(8):
+            i = sum(_bit(q) for k, q in enumerate(_others(r)) if bits >> (2 - k) & 1)
+            left.append(i)
+            right.append(i | _bit(r))
+    for pair in PAIRS:
+        groups = _pair_groups(pair)
+        for x in (0, 1):
+            left.extend(groups[x])
+            right.extend(groups[x ^ 3])
+    tables = np.array(left, dtype=np.intp), np.array(right, dtype=np.intp)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+_LEFT, _RIGHT = _product_tables()
+
+#: Position in ``PAIRS`` of each of the 36 entries ``_sum_entries`` writes.
+#: Entry (v, r, b) of the first 24 fixes the bit b of qubit s, the v-th of
+#: r's other qubits, so it belongs to the pair {r, s}; the last 12 follow
+#: the product table's pairs.
+_ENTRY_PAIRS = np.array(
+    [PAIRS.index(tuple(sorted((r, _others(r)[v])))) for v in range(3)
+     for r in (1, 2, 3, 4) for _ in range(2)]
+    + [p for p in range(6) for _ in range(2)])
+#: Weight of each entry's |G[x, y]|^2 in the six pair purities: twice, for
+#: the mirrored entry below the diagonal of the Hermitian G.
+_CROSS_WEIGHTS = np.where(np.arange(6)[:, None] == _ENTRY_PAIRS, 2.0, 0.0)
+#: K2 weights every entry's |G[x, y]|^2 twice.
+_K2_WEIGHTS = _CROSS_WEIGHTS.sum(axis=0)
+#: The groups of every pair, (6, 4, 4): the diagonal entry G[x, x] of
+#: ``PAIRS[p]`` sums |a_i|^2 over row x of block p.
+_GROUPS = np.stack([_pair_groups(pair) for pair in PAIRS])
+
+
+def _sum_entries(products: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """The 36 cross entries (36, states) from the 80 products (80, states),
+    written into ``entries`` by reshape sums.
+
+    A distance-1 entry of pair {r, s} sums the four products of r's flip
+    that share s's bit: the (4, 2, 2, 2) block summed over the bits of
+    r's two other qubits. A distance-2 entry sums four consecutive products.
+    """
+    states = products.shape[1]
+    flips = products[:32].reshape(4, 2, 2, 2, states)
+    kept = entries[:24].reshape(3, 4, 2, states)
+    for v, axes in enumerate(((2, 3), (1, 3), (1, 2))):
+        np.add.reduce(flips, axis=axes, out=kept[v])
+    np.add.reduce(products[32:].reshape(12, 4, states), axis=1, out=entries[24:])
+    return entries
+
+
+@lru_cache(maxsize=None)
+def _entry_products() -> np.ndarray:
+    """(80, 36): a vector of the 80 products times this is the 36 entries,
+    as ``_sum_entries`` forms them."""
+    table = _sum_entries(np.eye(80), np.empty((36, 80))).T.astype(np.complex128)
+    table.flags.writeable = False
+    return table
+
+
+#: States per chunk of the product kernel and of K1; the module docstring
+#: gives the measurements. The three per-thread buffers take 176 complex
+#: numbers per state, 1.03 MiB at 384 states, half of a 2 MiB L2 cache.
+_CHUNK_STATES = 384
+
+#: Per-thread work buffers, see ``_chunk_buffers``.
+_scratch = threading.local()
+
+
+def _chunk_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's complex work buffers for one chunk: its amplitudes laid
+    out amplitude-major, the left products, and the conjugated right
+    factors, whose place the entries take once they are multiplied in.
+
+    Made once per thread and reused, so a batch of any size allocates
+    nothing per chunk beyond its few-KiB sums.
+    """
+    if not hasattr(_scratch, "buffers"):
+        _scratch.buffers = tuple(np.empty(rows * _CHUNK_STATES, dtype=np.complex128)
+                                 for rows in (16, 80, 80))
+    return _scratch.buffers
+
+
+def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return buffer[: prod(shape)].reshape(shape)
+
+
+def _squared_entries(rows: np.ndarray) -> np.ndarray:
+    """Squared real and imaginary parts of the 36 cross entries of a chunk
+    ``rows`` (states, 16), interleaved: (36, 2 states), in this thread's
+    buffers."""
+    columns, left, right = _chunk_buffers()
+    shape = (80, len(rows))
+    columns = _view(columns, (16, len(rows)))
+    np.copyto(columns, rows.T)
+    products = np.take(columns, _LEFT, axis=0, mode="clip", out=_view(left, shape))
+    factors = np.take(np.conjugate(columns, out=columns), _RIGHT, axis=0, mode="clip",
+                      out=_view(right, shape))
+    np.multiply(products, factors, out=products)
+    # a complex array viewed as its real dtype lists re, im interleaved
+    parts = _sum_entries(products, _view(right, (36, len(rows)))).view(np.float64)
+    return np.square(parts, out=parts)
+
+
+def _over_chunks(kernel, amps: np.ndarray, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """``kernel(rows, out)`` over chunks of at most ``_CHUNK_STATES`` states
+    of ``amps`` (..., 16), writing a new (..., *shape) result."""
+    flat = amps.reshape(-1, 16)
+    out = np.empty((len(flat),) + shape)
+    for start in range(0, len(flat), _CHUNK_STATES):
+        kernel(flat[start : start + _CHUNK_STATES], out[start : start + _CHUNK_STATES])
+    return out.reshape(amps.shape[:-1] + shape)
+
+
+def _purities_chunk(rows: np.ndarray, out: np.ndarray) -> None:
+    cross = _CROSS_WEIGHTS @ _squared_entries(rows)
+    np.add(cross[:, 0::2], cross[:, 1::2], out=out.T)
+    norms = (rows.real**2 + rows.imag**2)[:, _GROUPS].sum(axis=-1)
+    out += np.square(norms).sum(axis=-1)
 
 
 def _pair_purities(amps: np.ndarray) -> np.ndarray:
-    """The six balanced purities in ``PAIRS`` order, batched: (..., 16) -> (..., 6)."""
-    return _over_chunks(_purities_chunk, amps)
+    """The six balanced purities in ``PAIRS`` order, batched: (..., 16) -> (..., 6).
+    Each is its four squared group norms plus its six doubled cross entries."""
+    return _over_chunks(_purities_chunk, _four_qubit_amplitudes(amps), (6,))
 
 
 def _pair_purity(amps: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
@@ -181,8 +297,18 @@ def pair_purities(state: PureState) -> PairPurities:
 # ---------------------------------------------------------------------------
 
 
+def _k2_chunk(rows: np.ndarray, out: np.ndarray) -> None:
+    sums = _K2_WEIGHTS @ _squared_entries(rows)
+    np.add(sums[0::2], sums[1::2], out=out)
+
+
 def k2_of_amplitudes(amps: np.ndarray) -> np.ndarray:
     """Batched K2; ``amps`` has shape (..., 16)."""
+    amps = _four_qubit_amplitudes(amps)
+    if amps.ndim == 1:
+        # one state: a product with the entry table costs fewer calls than the chunk's sums
+        entries = (amps[_LEFT] * np.conjugate(amps[_RIGHT])) @ _entry_products()
+        return 2.0 * np.vdot(entries, entries).real
     return _over_chunks(_k2_chunk, amps)
 
 
@@ -218,13 +344,18 @@ def _k1_weight_matrix() -> np.ndarray:
     return w
 
 
-def _k1_chunk(amps: np.ndarray) -> np.ndarray:
-    p = amps.real**2 + amps.imag**2
-    return np.einsum("...i,...i->...", p @ _k1_weight_matrix(), p)
+def _k1_chunk(rows: np.ndarray, out: np.ndarray) -> None:
+    p = rows.real**2 + rows.imag**2
+    np.einsum("si,si->s", p @ _k1_weight_matrix(), p, out=out)
 
 
 def k1_of_amplitudes(amps: np.ndarray) -> np.ndarray:
     """Batched K1; ``amps`` has shape (..., 16)."""
+    amps = _four_qubit_amplitudes(amps)
+    if amps.ndim == 1:
+        # one state: two vector products, without the chunk loop's calls
+        p = amps.real**2 + amps.imag**2
+        return p @ _k1_weight_matrix() @ p
     return _over_chunks(_k1_chunk, amps)
 
 

@@ -1,4 +1,6 @@
 import ast
+import sys
+import threading
 import tracemalloc
 from math import comb
 from pathlib import Path
@@ -12,9 +14,13 @@ from entpot.closed_form import (
     PAIR_WEIGHT_BY_DISTANCE,
     PAIRS,
     QUARTIC_WEIGHT,
-    _CROSS_X,
-    _CROSS_Y,
+    _ENTRY_PAIRS,
+    _LEFT,
+    _RIGHT,
+    _entry_products,
+    _pair_groups,
     _pair_purities,
+    _sum_entries,
     k1_of_amplitudes,
     k1_value,
     k2_of_amplitudes,
@@ -105,12 +111,46 @@ def test_k2_nonnegative():
 
 
 #: Left and right index quadruples of the 36 cross-overlap terms, six per
-#: balanced bipartition in PAIRS order: the Gram kernel's K2 row tables.
-_K2_LEFT, _K2_RIGHT = _CROSS_X.reshape(36, 4), _CROSS_Y.reshape(36, 4)
+#: balanced bipartition in PAIRS order: rows x and y of each pair's groups,
+#: for every x < y.
+_PATTERN_PAIRS = [(x, y) for x in range(4) for y in range(x + 1, 4)]
+_K2_LEFT, _K2_RIGHT = (
+    np.array([_pair_groups(pair)[rows[side]] for pair in PAIRS for rows in _PATTERN_PAIRS])
+    for side in (0, 1))
 
 
 def test_k2_has_36_terms_six_per_bipartition():
-    assert _CROSS_X.shape == _CROSS_Y.shape == (6, 6, 4)
+    assert _K2_LEFT.shape == _K2_RIGHT.shape == (36, 4)
+    assert np.bincount(_ENTRY_PAIRS).tolist() == [6] * 6
+
+
+def _entry_incidence():
+    """(36, 80) 0/1 matrix: which of the 80 products each cross entry sums,
+    read off the kernel's own reshape sums of the identity."""
+    return _sum_entries(np.eye(80), np.empty((36, 80)))
+
+
+def test_product_tables_hold_80_distinct_products_at_distance_one_or_two():
+    products = {frozenset(pair) for pair in zip(_LEFT.tolist(), _RIGHT.tolist())}
+    assert len(products) == 80
+    distances = [(i ^ j).bit_count() for i, j in zip(_LEFT.tolist(), _RIGHT.tolist())]
+    assert distances == [1] * 32 + [2] * 48
+
+
+def test_every_cross_entry_sums_exactly_its_four_products():
+    incidence = _entry_incidence()
+    assert set(np.unique(incidence)) == {0.0, 1.0}
+    assert incidence.sum(axis=1).tolist() == [4.0] * 36
+    entries = [frozenset((_LEFT[k], _RIGHT[k]) for k in np.flatnonzero(row))
+               for row in incidence]
+    for b, pair in enumerate(PAIRS):
+        groups = _pair_groups(pair)
+        for x, y in _PATTERN_PAIRS:
+            overlap = frozenset(zip(groups[x].tolist(), groups[y].tolist()))
+            assert entries.count(overlap) == 1, (pair, x, y)
+            assert _ENTRY_PAIRS[entries.index(overlap)] == b
+    # the one-state route multiplies by the same table
+    np.testing.assert_array_equal(_entry_products(), incidence.T)
 
 
 #: Printed first and last cross-overlap term of each six-term block, as
@@ -157,10 +197,12 @@ def _k2_from_printed_terms(amps):
 _CHUNK = closed_form._CHUNK_STATES
 
 
-@pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+@pytest.mark.parametrize("count", sorted({1, 127, 128, 129, 259, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                           2 * _CHUNK + 3, 1000}))
 def test_gram_route_matches_term_listing_and_oracle(count):
-    """Batches on both sides of each chunk edge: K2 equals the 36-term sum,
-    and the pair purities equal the partial-trace oracle's."""
+    """Batches inside one chunk and on both sides of each chunk edge: K2
+    equals the 36-term sum, and the pair purities equal the partial-trace
+    oracle's."""
     amps = random_amplitude_batch(4, count, np.random.default_rng(count))
     k2 = k2_of_amplitudes(amps)
     assert k2.shape == (count,)
@@ -169,6 +211,22 @@ def test_gram_route_matches_term_listing_and_oracle(count):
     assert purities.shape == (count, 6)
     for p, pair in enumerate(PAIRS):
         assert np.max(np.abs(purities[:, p] - subset_purity(amps, 4, pair))) < 1e-12
+
+
+def test_k2_matches_term_listing_on_one_state_leading_axes_strided_and_real_input():
+    rng = np.random.default_rng(67)
+    batch = random_amplitude_batch(4, 2 * 3 * 70, rng)
+    cases = {
+        "one state": batch[0],
+        "leading axes": batch.reshape(2, 3, 70, 16),
+        "strided": np.repeat(batch, 2, axis=1)[::3, ::2],
+        "real": batch.real / np.linalg.norm(batch.real, axis=-1, keepdims=True),
+    }
+    assert not cases["strided"].flags.c_contiguous
+    for name, amps in cases.items():
+        k2 = k2_of_amplitudes(amps)
+        assert np.shape(k2) == amps.shape[:-1], name
+        assert np.max(np.abs(k2 - _k2_from_printed_terms(amps))) < 1e-13, name
 
 
 def test_closed_forms_keep_leading_axes():
@@ -208,6 +266,58 @@ def test_k_total_batch_memory_stays_near_input_size():
     finally:
         tracemalloc.stop()
     assert peak < 2 * amps.nbytes, f"peak {peak / 2**20:.1f} MiB, input {amps.nbytes / 2**20:.1f} MiB"
+
+
+def test_k2_memory_is_the_output_plus_the_chunk_buffers():
+    """A 10^5-state K2 peaks at its output plus this thread's chunk buffers,
+    made on its first call; a second call adds nothing that grows with the
+    batch."""
+    amps = random_amplitude_batch(4, 100_000, np.random.default_rng(73))
+    peaks = []
+
+    def traced_k2():
+        tracemalloc.start()
+        try:
+            values = k2_of_amplitudes(amps)
+            peaks.append(tracemalloc.get_traced_memory()[1] - values.nbytes)
+        finally:
+            tracemalloc.stop()
+
+    def run():  # in a new thread, whose buffers do not exist yet
+        traced_k2()
+        traced_k2()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    buffers = 176 * closed_form._CHUNK_STATES * 16  # 16 + 80 + 80 complex rows
+    first, second = peaks
+    assert buffers <= first <= buffers + (16 << 10), first
+    assert second <= 16 << 10, second
+
+
+def test_k2_and_pair_purities_agree_across_threads():
+    """Each thread has its own chunk buffers: four threads switching every
+    microsecond get bit-identical results."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(79)
+    batches = [random_amplitude_batch(4, 1000, rng) for _ in range(4)]
+    want = [(k2_of_amplitudes(batch), _pair_purities(batch)) for batch in batches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = list(pool.map(
+                lambda batch: [(k2_of_amplitudes(batch), _pair_purities(batch)) for _ in range(20)],
+                batches, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for (k2, purities), got in zip(want, runs):
+        assert len(got) == 20
+        for k2_run, purities_run in got:
+            np.testing.assert_array_equal(k2_run, k2)
+            np.testing.assert_array_equal(purities_run, purities)
 
 
 def test_k1_batch_memory_stays_small():
@@ -288,6 +398,34 @@ def test_arity_errors(func):
     rng = np.random.default_rng(43)
     with pytest.raises(ArityError):
         func(random_state(3, rng))
+
+
+BATCHED = [k1_of_amplitudes, k2_of_amplitudes, k_total_of_amplitudes, _pair_purities]
+
+
+@pytest.mark.parametrize("func", BATCHED)
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("lead", [(), (7,), (2, 3)])
+def test_batched_closed_forms_reject_other_widths(func, n, lead):
+    """Eight or 32 amplitudes per state raise ArityError with the message the
+    state-level functions give for the same n, for one state and batches;
+    32 amplitudes no longer read the first 16 of them."""
+    rng = np.random.default_rng(83)
+    with pytest.raises(ArityError) as state_level:
+        k2_value(random_state(n, rng))
+    amps = random_amplitude_batch(n, int(np.prod(lead)), rng).reshape(lead + (1 << n,))
+    with pytest.raises(ArityError) as batched:
+        func(amps)
+    assert str(batched.value) == str(state_level.value) == (
+        f"closed forms are four-qubit only, got n={n}")
+
+
+@pytest.mark.parametrize("func", BATCHED)
+def test_batched_closed_forms_reject_widths_that_are_no_qubit_count(func):
+    with pytest.raises(ArityError, match="got 12 amplitudes per state"):
+        func(np.ones((3, 12)))
+    with pytest.raises(ArityError, match="got n=0"):
+        func(np.float64(1.0))
 
 
 # ---------------------------------------------------------------------------
