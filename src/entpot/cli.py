@@ -7,9 +7,9 @@ entanglement verdict; exit 0 yes / 1 no / 4 not claimed), ``minimize``
 
 Exit codes: 0 success (or verdict yes), 1 verdict no, 2 parse/validation
 error, including input above ``qstate.MAX_QUBITS`` qubits and running out
-of memory, 3 I/O error, 4 verdict not claimed (``check`` of a state with
-neither the four-qubit criterion nor a registered lower bound on pi_ME,
-a Bell state for one), 64 usage error.
+of memory, 3 I/O error, 4 verdict not claimed (``check`` of a state of
+other than four qubits, where the K1 + K2 criterion applies; a Bell state
+for one), 64 usage error.
 """
 from __future__ import annotations
 
@@ -78,7 +78,10 @@ def _add_format_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on first use; ``parse_args`` leaves it
+    unchanged and returns a new namespace per call."""
     parser = _ArgumentParser(prog="entpot")
     parser.add_argument("--version", action="version", version=f"entpot {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -109,13 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(p_parse)
 
     return parser
-
-
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``run`` uses, built on first use; ``parse_args`` leaves it
-    unchanged and returns a new namespace per call."""
-    return build_parser()
 
 
 class UsageError(Exception):
@@ -178,7 +174,7 @@ def _cmd_check(ns) -> int:
         rel = "<=" if report.verdict == "mmes" else ">"
         detail = f"K = {report.k_total:.1e} {rel} {report.tol:g}"
     else:
-        detail = report.note or f"pi_ME = {_fmt(report.pi_me)}"
+        detail = report.note
     print(f"MMES: {_CHECK_ANSWERS[report.verdict]} ({detail})")
     return _CHECK_EXITS[report.verdict]
 

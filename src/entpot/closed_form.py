@@ -97,10 +97,6 @@ def _four_qubit_amplitudes(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _require_four_qubits(state: PureState) -> np.ndarray:
-    return _four_qubit_amplitudes(state.amplitudes)
-
-
 def _others(r: int) -> tuple[int, ...]:
     return tuple(q for q in (1, 2, 3, 4) if q != r)
 
@@ -244,11 +240,6 @@ def _pair_purities(amps: np.ndarray) -> np.ndarray:
     return _over_chunks(_purities_chunk, _four_qubit_amplitudes(amps), (6,))
 
 
-def _pair_purity(amps: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-    """One balanced purity: four squared group norms plus six doubled cross-overlaps."""
-    return _pair_purities(amps)[..., PAIRS.index(tuple(pair))]
-
-
 @dataclass(frozen=True)
 class PairPurities:
     """The six balanced purities of a four-qubit state."""
@@ -289,7 +280,7 @@ class KDecomposition:
 
 def pair_purities(state: PureState) -> PairPurities:
     """All six balanced purities from the closed forms (no partial trace)."""
-    return PairPurities(*_pair_purities(_require_four_qubits(state)).tolist())
+    return PairPurities(*_pair_purities(state.amplitudes).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +305,7 @@ def k2_of_amplitudes(amps: np.ndarray) -> np.ndarray:
 
 def k2_value(state: PureState) -> float:
     """Cross part of the criterion: sum of 36 doubled squared overlaps, >= 0."""
-    return float(k2_of_amplitudes(_require_four_qubits(state)))
+    return float(k2_of_amplitudes(state.amplitudes))
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +352,12 @@ def k1_of_amplitudes(amps: np.ndarray) -> np.ndarray:
 
 def k1_value(state: PureState) -> float:
     """Diagonal part of the criterion: quartic polynomial in the |a_i|^2."""
-    return float(k1_of_amplitudes(_require_four_qubits(state)))
+    return float(k1_of_amplitudes(state.amplitudes))
 
 
 def k_total(state: PureState) -> KDecomposition:
     """K1, K2 and their sum, computed purely from the closed forms."""
-    amps = _require_four_qubits(state)
-    return KDecomposition(
-        k1=float(k1_of_amplitudes(amps)), k2=float(k2_of_amplitudes(amps))
-    )
+    return KDecomposition(k1=k1_value(state), k2=k2_value(state))
 
 
 def k_total_of_amplitudes(amps: np.ndarray) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Entanglement potential: mean balanced-bipartition purity, and analysis reports.
 
 For four qubits the maximal-entanglement verdict uses the closed-form
-criterion K1 + K2 = 0; for other qubit counts a verdict is only claimed
-when a lower bound on the potential is registered, and is "not_claimed"
-otherwise.
+criterion K1 + K2 = 0; at every other qubit count no lower bound on the
+potential is known, so the verdict is "not_claimed".
 """
 from __future__ import annotations
 
@@ -17,9 +16,6 @@ from .errors import ConfigError
 from .qstate import PureState
 from .reduction import all_balanced_purities, balanced_purities
 from .reduction import subset_purity  # noqa: F401  (re-exported; benchmark tracing patches it)
-
-#: Best known minima of the potential, by qubit count.
-LOWER_BOUNDS: dict[int, float] = {4: 1.0 / 3.0}
 
 DEFAULT_TOL = 1e-8
 
@@ -73,9 +69,8 @@ def analyze(state: PureState, tol: float = DEFAULT_TOL) -> BipartitionReport:
     """Full report for one state.
 
     Four-qubit states get the closed-form criterion verdict (K1 + K2 within
-    ``tol`` of zero); other sizes are compared against a registered lower
-    bound when one exists, and otherwise reported with the verdict
-    ``"not_claimed"``.
+    ``tol`` of zero); other sizes get the verdict ``"not_claimed"`` and a
+    note saying so.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ConfigError(f"tolerance must be finite and positive, got {tol}")
@@ -89,12 +84,7 @@ def analyze(state: PureState, tol: float = DEFAULT_TOL) -> BipartitionReport:
         return BipartitionReport(
             n, purities, potential, kd.k1, kd.k2, kd.k_total, verdict, tol
         )
-
-    bound = LOWER_BOUNDS.get(n)
-    if bound is None:
-        return BipartitionReport(
-            n, purities, potential, None, None, None, "not_claimed", tol,
-            note=f"no known pi_ME lower bound for n={n}; verdict not claimed",
-        )
-    verdict = "mmes" if potential - bound <= tol else "not_mmes"
-    return BipartitionReport(n, purities, potential, None, None, None, verdict, tol)
+    return BipartitionReport(
+        n, purities, potential, None, None, None, "not_claimed", tol,
+        note=f"no known pi_ME lower bound for n={n}; verdict not claimed",
+    )

@@ -216,15 +216,10 @@ def _canonical_subset(n: int, keep: Iterable[int]) -> tuple[int, ...]:
     return subset
 
 
-def reduced_matrix(amplitudes: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray:
-    """rho_A as a bare array; ``amplitudes`` may carry leading batch axes."""
-    return gram(amplitudes[..., _gather_index(n, keep)])
-
-
 def reduced_density(state: PureState, keep: Iterable[int]) -> DensityMatrix:
     """Partial trace of |psi><psi| down to the kept qubits."""
     subset = _canonical_subset(state.n_qubits, keep)
-    return DensityMatrix(subset, reduced_matrix(state.amplitudes, state.n_qubits, subset))
+    return DensityMatrix(subset, gram(state.amplitudes[_gather_index(state.n_qubits, subset)]))
 
 
 def purity(rho: DensityMatrix | np.ndarray) -> float:
@@ -233,9 +228,19 @@ def purity(rho: DensityMatrix | np.ndarray) -> float:
     return float(np.real(np.vdot(m, m)))
 
 
+def _states_of(amps: np.ndarray, n: int) -> np.ndarray:
+    """``amps`` as an array of states along its last axis, which must hold
+    2^n amplitudes; any other width raises DimensionError."""
+    amps = np.asarray(amps)
+    if amps.ndim == 0 or amps.shape[-1] != 1 << n:
+        raise DimensionError(
+            f"expected {1 << n} amplitudes per state for n={n}, got shape {amps.shape}")
+    return amps
+
+
 def subset_purity(amplitudes: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray:
-    """Batched Tr(rho_A^2) straight from (stacked) amplitude vectors."""
-    return gram_purities(amplitudes[..., _gather_index(n, keep)])[1]
+    """Batched Tr(rho_A^2) straight from (stacked) amplitude vectors, (..., 2**n)."""
+    return gram_purities(_states_of(amplitudes, n)[..., _gather_index(n, keep)])[1]
 
 
 def _chunk_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -335,15 +340,17 @@ def _product_purities(flat: np.ndarray, n: int, out: np.ndarray) -> None:
 def balanced_purities(amps: np.ndarray, n: int) -> np.ndarray:
     """Tr rho_A^2 of every balanced subset, in ``balanced_subsets`` order.
 
-    ``amps`` is (..., 2**n); the result is (..., C(n, floor(n/2))). Blocks
-    of at most ``_ENTRY_ROUTE_AMPLITUDES`` amplitudes (n <= 4) are summed
-    from their Gram entries (``_entry_purities``), larger ones from batched
-    products rho = M M^H (``_product_purities``); the module docstring
-    gives the crossover. Either way, beyond the result (and a complex128
+    ``amps`` is (..., 2**n), and any other width raises DimensionError;
+    the result is (..., C(n, floor(n/2))). Blocks of at most
+    ``_ENTRY_ROUTE_AMPLITUDES`` amplitudes (n <= 4) are summed from their
+    Gram entries (``_entry_purities``), larger ones from batched products
+    rho = M M^H (``_product_purities``); the module docstring gives the
+    crossover. Either way, beyond the result (and a complex128
     copy of input of another dtype), the memory it takes is a chunk-sized
     constant.
     """
     half = len(balanced_offsets(n)[0])
+    amps = _states_of(amps, n)
     flat = np.asarray(amps, dtype=np.complex128).reshape(-1, 1 << n)
     out = np.empty((flat.shape[0], comb(n, n // 2)))
     route = _entry_purities if 1 << n <= _ENTRY_ROUTE_AMPLITUDES else _product_purities
@@ -354,7 +361,7 @@ def balanced_purities(amps: np.ndarray, n: int) -> np.ndarray:
         rows = max(1, _CHUNK_ELEMENTS // half)
         for b0 in range(0, flat.shape[0], rows):
             out[b0 : b0 + rows, half:] = out[b0 : b0 + rows, half - 1 :: -1]
-    return out.reshape(np.shape(amps)[:-1] + (-1,))
+    return out.reshape(amps.shape[:-1] + (-1,))
 
 
 def all_balanced_purities(state: PureState) -> Mapping[tuple[int, ...], float]:

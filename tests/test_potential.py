@@ -3,7 +3,7 @@ import pytest
 
 from entpot.closed_form import pair_purities
 from entpot.errors import ArityError, ConfigError
-from entpot.potential import LOWER_BOUNDS, BipartitionReport, analyze, pi_me
+from entpot.potential import BipartitionReport, analyze, pi_me
 from entpot.qstate import apply_local_unitary, catalog_state, make_state, random_state
 
 from helpers import permute_qubits, random_unitary
@@ -86,16 +86,13 @@ def test_relabeling_invariance(n):
         assert abs(relabeled[image] - value) < 1e-12
 
 
-def test_non_four_qubit_report_has_no_criterion():
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_non_four_qubit_report_has_no_criterion(n):
     rng = np.random.default_rng(71)
-    report = analyze(random_state(3, rng))
+    report = analyze(random_state(n, rng))
     assert report.k1 is None and report.k2 is None and report.k_total is None
     assert report.verdict == "not_claimed"
-    assert report.note is not None and "n=3" in report.note
-
-
-def test_lower_bound_registry():
-    assert LOWER_BOUNDS == {4: 1 / 3}
+    assert report.note is not None and f"n={n}" in report.note
 
 
 def test_json_schema():
@@ -109,6 +106,11 @@ def test_json_schema():
     data3 = analyze(random_state(3, rng)).to_json_dict()
     assert set(data3) == {"n", "purities", "pi_me", "verdict", "tol", "note"}
     assert set(data3["purities"]) == {"1", "2", "3"}
+
+    data5 = analyze(random_state(5, rng)).to_json_dict()
+    assert set(data5) == {"n", "purities", "pi_me", "verdict", "tol", "note"}
+    assert len(data5["purities"]) == 10 and "12" in data5["purities"]
+    assert data5["verdict"] == "not_claimed" and "n=5" in data5["note"]
 
 
 def test_bad_tolerance():

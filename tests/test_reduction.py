@@ -1,4 +1,5 @@
 import gc
+import re
 import sys
 import tracemalloc
 
@@ -336,6 +337,32 @@ def test_balanced_index_rejects_more_qubits_than_the_cap_before_allocating(monke
     assert peak < 1 << 20
     # so the per-thread chunk buffers hold one subset of one state at any allowed n
     assert 1 << MAX_QUBITS <= reduction._CHUNK_ELEMENTS
+
+
+#: Inputs whose last axis does not hold 2^n amplitudes, and the n they are given with.
+WRONG_WIDTHS = {
+    "8": (np.ones(8) / np.sqrt(8), 4),
+    "32": (np.ones(32) / np.sqrt(32), 4),
+    "3x8": (np.ones((3, 8)), 4),
+    "2x16": (np.ones((2, 16)), 5),  # one five-qubit state cut in two
+    "scalar": (np.float64(1.0), 4),
+}
+
+
+@pytest.mark.parametrize("func", [
+    balanced_purities,
+    pi_me_of_amplitudes,
+    lambda amps, n: subset_purity(amps, n, (1, 2)),
+], ids=["balanced_purities", "pi_me_of_amplitudes", "subset_purity"])
+@pytest.mark.parametrize("case", WRONG_WIDTHS)
+def test_purities_reject_other_widths(func, case):
+    """32 amplitudes at n = 4 no longer give a value from the first 16 (pi_ME
+    0.25, below the four-qubit minimum 1/3), nor one five-qubit state laid
+    out as (2, 16) a (2, 5) result."""
+    amps, n = WRONG_WIDTHS[case]
+    message = f"expected {1 << n} amplitudes per state for n={n}, got shape {np.shape(amps)}"
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        func(amps, n)
 
 
 #: Qubit counts whose blocks take the Gram-entry route: blocks of at most
