@@ -55,7 +55,7 @@ from math import prod
 import numpy as np
 
 from .errors import ArityError
-from .qstate import PureState
+from .qstate import PureState, states_of_width
 
 #: The six balanced pair bipartitions of four qubits, ascending order.
 PAIRS: tuple[tuple[int, int], ...] = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -85,16 +85,17 @@ def _pair_groups(pair: tuple[int, int]) -> np.ndarray:
     return table
 
 
+def _width(amps: np.ndarray) -> str:
+    """The qubit count a last axis of 2^m amplitudes spells, else its width."""
+    width = amps.shape[-1]
+    return (f"n={width.bit_length() - 1}" if width & (width - 1) == 0 and width
+            else f"{width} amplitudes per state")
+
+
 def _four_qubit_amplitudes(amps: np.ndarray) -> np.ndarray:
     """``amps`` as an array of states along its last axis, which must hold 16
     amplitudes; any other width raises ArityError."""
-    amps = np.asarray(amps)
-    width = amps.shape[-1] if amps.ndim else 1
-    if width != 16:
-        got = (f"n={width.bit_length() - 1}" if width & (width - 1) == 0 and width
-               else f"{width} amplitudes per state")
-        raise ArityError(f"closed forms are four-qubit only, got {got}")
-    return amps
+    return states_of_width(amps, 4, ArityError, "closed forms are four-qubit only", _width)
 
 
 def _others(r: int) -> tuple[int, ...]:

@@ -28,9 +28,9 @@ from .errors import (
 #: as short decimal literals (e.g. 0.40824829 for 1/sqrt(6)).
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-12
-#: Largest qubit count any input path accepts. At n = 14 one analysis
-#: already takes about 1.2 s, and the minimizer's stacked gather index
-#: about 225 MB.
+#: Largest qubit count any input path accepts. At n = 14 a cold ``analyze``
+#: takes 0.4-0.6 s at about 42 MB peak RSS, and every evaluation of the
+#: minimizer expands a stacked gather index of 225 MB.
 MAX_QUBITS = 14
 
 #: Primitive cube root of unity. Built from pi so that downstream phase
@@ -38,6 +38,22 @@ MAX_QUBITS = 14
 OMEGA = np.exp(2j * np.pi / 3)
 
 NormalizePolicy = Literal["strict", "renormalize"]
+
+
+def states_of_width(amps, n: int, error: type[Exception], expected: str,
+                    got: Callable[[np.ndarray], str] | None = None) -> np.ndarray:
+    """``amps`` as an array of states along its last axis, which must hold
+    2^n amplitudes.
+
+    Any other width raises ``error(f"{expected}, got {what}")``. What came
+    is ``got(amps)`` when given, else the shape; a 0-d input has no width to
+    name, so it always reads ``got shape ()``.
+    """
+    amps = np.asarray(amps)
+    if amps.ndim and amps.shape[-1] == 1 << n:
+        return amps
+    what = got(amps) if got is not None and amps.ndim else f"shape {amps.shape}"
+    raise error(f"{expected}, got {what}")
 
 
 def _check_qubit_count(n_qubits: int) -> None:

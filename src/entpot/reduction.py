@@ -1,24 +1,28 @@
 """Partial trace and purity for arbitrary qubit subsets of arbitrary n.
 
-This is the brute-force reference implementation. A gather index lays the
-amplitudes out as a 2^k x 2^(n-k) block M per subset (kept qubits by traced
-qubits); the reduced density matrix is rho = M M^H and its purity the
-squared Frobenius norm. ``balanced_purities`` runs every balanced subset of
-one n through chunks of a stacked index, so the whole potential is a few
-batched products.
+A gather index lays the amplitudes out as a 2^k x 2^(n-k) block M per
+subset (kept qubits by traced qubits); the reduced density matrix is
+rho = M M^H and its purity the squared Frobenius norm.
+``balanced_purities`` gives the purity of every balanced subset of one n,
+for one state or a batch, by one of three routes. The block size 2^n
+alone picks the route, with no option to choose one, and all three run
+in chunks through the same per-thread buffers:
 
-Blocks of at most ``_ENTRY_ROUTE_AMPLITUDES`` = 16 amplitudes (n <= 4)
-take a second route through the same chunks and buffers. A batched
-product of 4x4 blocks costs about 0.3-0.5 us per block for 64
-multiply-adds, nearly all of it per-block overhead, so there the purity is
-summed from Gram entries instead:
+- Gram entries, blocks of at most ``_ENTRY_ROUTE_AMPLITUDES`` = 16
+  amplitudes (n <= 4);
+- one batched product rho = M M^H per subset, n = 5..10;
+- one Gram per set of k+1 qubits, shared by up to k+2 subsets, blocks of
+  more than ``_PRODUCT_ROUTE_AMPLITUDES`` = 2^10 amplitudes (n >= 11).
+
+For small blocks a batched product of 4x4 blocks costs about 0.3-0.5 us
+per block for 64 multiply-adds, nearly all of it per-block overhead, so
+there the purity is summed from Gram entries instead:
 Tr rho^2 = sum_x G[x, x]^2 + 2 sum_{x<y} |G[x, y]|^2, with
 G[x, y] = sum_z M[x, z] conj(M[y, z]) for x <= y, each entry an
-elementwise product of two rows gathered from ``balanced_index``. The
-route follows the block size alone. Time per call, product route -> entry
-route (2-vCPU Intel Xeon, one BLAS thread, numpy 2.4.6; single states:
-medians of five alternating processes, batches: medians of seven
-interleaved rounds in one process):
+elementwise product of two rows gathered from ``balanced_index``. Time per
+call, product route -> entry route (2-vCPU Intel Xeon, one BLAS thread,
+numpy 2.4.6; single states: medians of five alternating processes,
+batches: medians of seven interleaved rounds in one process):
 
     n  block  1 state             10^3 states         2x10^5 states
     2  2x2    19.7 -> 16.9 us     0.32 -> 0.043 ms    63 -> 7.6 ms
@@ -32,11 +36,40 @@ single state gained 3-12% in medians and lost in a quarter of the runs,
 within the host's run-to-run spread, and no caller batches five-qubit
 states.
 
+For large blocks the products run near the rate one core reaches on big
+zgemm, so only doing fewer of them helps. One Gram rho_C = M_C M_C^H of a
+set C of k+1 qubits gives the purity of every child C - {a} as
+||Tr_a rho_C||^2, from rho_C's two diagonal blocks for qubit a; at even n
+a child without qubit 1 stands for its complement, and at odd n
+||rho_C||^2 is also the purity of C's k-qubit complement. A cover
+(``_cover_plan``, cached per n) lists the sets: at n = 11 and 12 the 66
+sets of ``_witt_sets``, which serve each of the 462 subsets exactly once
+with all seven slots of every set, and elsewhere a greedy choice, which
+needed 96 and 78 sets at n = 11 and 12. Per state, in complex
+multiply-adds of the products, and time per call, product route -> cover
+route (same host; medians of interleaved calls in one process, 60 rounds
+at n <= 12 and 6 above; cold plan: median of five processes):
+
+    n   subsets  sets  multiply-adds       1 state          cold plan
+    9     126     29   1.03M -> 0.48M      0.79 -> 0.82 ms
+    10    126     29   4.13M -> 1.90M      1.59 -> 1.92 ms
+    11    462     66   30.3M -> 8.65M      10.0 -> 5.1 ms   3.8 ms
+    12    462     66   121M -> 34.6M       32.7 -> 16.8 ms  6.1 ms
+    13   1716    319   900M -> 334M        209 -> 95 ms     17.0 ms
+    14   1716    329   3.60G -> 1.38G      660 -> 405 ms    22.6 ms
+
+The partial traces and their norms cost about as much again as the
+products, so at n = 9 and 10, where the products are small, the cover
+route saves nothing and they stay on the product route. The product
+times at n >= 11 are those of the product route before the cover route
+existed, which expanded its gather index per chunk.
+
 The index of a subset is a bit permutation, so index[x, z] splits into
 kept[x] + traced[z]. ``balanced_offsets`` keeps only these two parts,
 C(n, k) (2^k + 2^(n-k)) entries (3.5 MB at n = 14 against 225 MB for the
-table), and the kernel adds them per chunk. The expanded table stays
-cached only up to ``CACHED_INDEX_QUBITS``.
+table). The expanded table stays cached only up to
+``CACHED_INDEX_QUBITS``, which covers every n of the product route; the
+cover route expands the offsets of its sets per chunk.
 The four-qubit closed forms in ``closed_form`` are checked against this
 module, never derived from it.
 """
@@ -47,12 +80,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import ArityError, DimensionError, SubsetError
-from .qstate import MAX_QUBITS, PureState
+from .qstate import MAX_QUBITS, PureState, states_of_width
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -102,6 +135,15 @@ CACHED_INDEX_QUBITS = 10
 #: module docstring gives the measurements behind it.
 _ENTRY_ROUTE_AMPLITUDES = 16
 
+#: Largest block, in amplitudes (2^n), that ``balanced_purities`` forms by
+#: one batched product rho = M M^H per subset; larger ones take the cover
+#: route. The module docstring gives the measurements behind it.
+_PRODUCT_ROUTE_AMPLITUDES = 1 << 10
+
+#: Entries of each work buffer: one rho_C of the cover route at MAX_QUBITS,
+#: 2^(k+1) x 2^(k+1) for k = 7.
+_BUFFER_ELEMENTS = max(_CHUNK_ELEMENTS, 1 << 2 * (MAX_QUBITS // 2 + 1))
+
 #: Per-thread work buffers of ``balanced_purities``, see ``_chunk_buffers``.
 _scratch = threading.local()
 
@@ -117,11 +159,24 @@ def _gather_index(n: int, keep: tuple[int, ...]) -> np.ndarray:
     return np.arange(1 << n).reshape((2,) * n).transpose(axes).reshape(1 << len(keep), -1)
 
 
+@lru_cache(maxsize=None)
 def balanced_subsets(n: int) -> tuple[tuple[int, ...], ...]:
     """All C(n, floor(n/2)) qubit subsets of size floor(n/2), ascending order."""
     if n < 2:
         raise ArityError(f"no balanced bipartition exists for n={n}")
     return tuple(combinations(range(1, n + 1), n // 2))
+
+
+def _kernel_subsets(n: int) -> tuple[tuple[int, ...], ...]:
+    """The subsets whose purities the kernel computes: all of
+    ``balanced_subsets(n)`` for odd n. For even n, its first half, the subsets
+    holding qubit 1: the second half lists their complements in reverse
+    order, and Tr rho_A^2 = Tr rho_Abar^2. Above ``MAX_QUBITS`` it raises
+    before building anything."""
+    if n > MAX_QUBITS:
+        raise DimensionError(f"{n} qubits exceed the limit of {MAX_QUBITS}")
+    subsets = balanced_subsets(n)
+    return subsets[: len(subsets) // 2] if n % 2 == 0 else subsets
 
 
 def _bit_offsets(qubits: np.ndarray, n: int) -> np.ndarray:
@@ -135,22 +190,8 @@ def _bit_offsets(qubits: np.ndarray, n: int) -> np.ndarray:
     return (np.intp(1) << (n - qubits)) @ bits.T
 
 
-@lru_cache(maxsize=None)
-def balanced_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kept and traced offsets, (S, 2^k) and (S, 2^(n-k)), of the kernel's subsets.
-
-    ``kept[s, x] + traced[s, z]`` is ``balanced_index(n)[s, x, z]``. The
-    subsets are all of ``balanced_subsets(n)`` for odd n. For even n they
-    are its first half, the subsets holding qubit 1: the second half lists
-    their complements in reverse order, and Tr rho_A^2 = Tr rho_Abar^2.
-    Above ``MAX_QUBITS`` it raises before allocating.
-    """
-    if n > MAX_QUBITS:
-        raise DimensionError(f"{n} qubits exceed the limit of {MAX_QUBITS}")
-    subsets = balanced_subsets(n)
-    if n % 2 == 0:
-        subsets = subsets[: len(subsets) // 2]
-    keep = np.array(subsets, dtype=np.intp)
+def _offsets(keep: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only kept and traced offsets of each row of ascending qubits."""
     member = np.zeros((len(keep), n + 1), dtype=bool)
     member[np.arange(len(keep))[:, None], keep] = True
     # the complement of each row, ascending: qubits 1..n not in it
@@ -159,6 +200,17 @@ def balanced_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
     for part in offsets:
         part.flags.writeable = False
     return offsets
+
+
+@lru_cache(maxsize=None)
+def balanced_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kept and traced offsets, (S, 2^k) and (S, 2^(n-k)), of the kernel's
+    subsets (``_kernel_subsets``).
+
+    ``kept[s, x] + traced[s, z]`` is ``balanced_index(n)[s, x, z]``. Above
+    ``MAX_QUBITS`` it raises before allocating.
+    """
+    return _offsets(np.array(_kernel_subsets(n), dtype=np.intp), n)
 
 
 def _expand(kept: np.ndarray, traced: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -231,11 +283,8 @@ def purity(rho: DensityMatrix | np.ndarray) -> float:
 def _states_of(amps: np.ndarray, n: int) -> np.ndarray:
     """``amps`` as an array of states along its last axis, which must hold
     2^n amplitudes; any other width raises DimensionError."""
-    amps = np.asarray(amps)
-    if amps.ndim == 0 or amps.shape[-1] != 1 << n:
-        raise DimensionError(
-            f"expected {1 << n} amplitudes per state for n={n}, got shape {amps.shape}")
-    return amps
+    return states_of_width(amps, n, DimensionError,
+                           f"expected {1 << n} amplitudes per state for n={n}")
 
 
 def subset_purity(amplitudes: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray:
@@ -244,12 +293,17 @@ def subset_purity(amplitudes: np.ndarray, n: int, keep: tuple[int, ...]) -> np.n
 
 
 def _chunk_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Three complex work buffers and one intp buffer of ``_CHUNK_ELEMENTS``
-    entries, which hold one subset of one state up to ``MAX_QUBITS``: the
-    gathered blocks, their conjugates, rho, and the chunk's gather index
-    where ``balanced_index`` is not cached. The Gram-entry route keeps its
-    two row gathers in the first two and the chunk's amplitudes, then its
-    Gram entries, in the third.
+    """Three complex work buffers and one intp buffer of ``_BUFFER_ELEMENTS``
+    entries.
+
+    The product route keeps a chunk's gathered blocks, their conjugates
+    and rho in the complex ones, at most ``_CHUNK_ELEMENTS`` each. The
+    cover route keeps M_C, conj(M_C) and then the squares of rho_C's
+    floats, and rho_C in them, and the chunk's gather index in the intp
+    one; one rho_C takes 2^16 entries at n = 14, the only n that fills
+    more than ``_CHUNK_ELEMENTS``. The Gram-entry route keeps its two row
+    gathers in the first two and the chunk's amplitudes, then its Gram
+    entries, in the third. Pages no call has touched take no memory.
 
     They are made once per thread and reused. With new arrays for every
     chunk, malloc gave the few hundred KiB back to the system after each
@@ -257,8 +311,8 @@ def _chunk_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     per ``analyze`` at n = 8, 9 and 10.
     """
     if not hasattr(_scratch, "buffers"):
-        _scratch.buffers = tuple(np.empty(_CHUNK_ELEMENTS, dtype=np.complex128)
-                                 for _ in range(3)) + (np.empty(_CHUNK_ELEMENTS, dtype=np.intp),)
+        _scratch.buffers = tuple(np.empty(_BUFFER_ELEMENTS, dtype=np.complex128)
+                                 for _ in range(3)) + (np.empty(_BUFFER_ELEMENTS, dtype=np.intp),)
     return _scratch.buffers
 
 
@@ -315,26 +369,188 @@ def _entry_purities(flat: np.ndarray, n: int, out: np.ndarray) -> None:
 def _product_purities(flat: np.ndarray, n: int, out: np.ndarray) -> None:
     """Tr rho^2 of the kernel's subsets into ``out`` (states, S) from gathered
     blocks and batched products rho = M M^H: the route of blocks above
-    ``_ENTRY_ROUTE_AMPLITUDES``."""
-    kept, traced = balanced_offsets(n)
-    cached = balanced_index(n) if n <= CACHED_INDEX_QUBITS else None
+    ``_ENTRY_ROUTE_AMPLITUDES`` up to ``_PRODUCT_ROUTE_AMPLITUDES``, whose
+    index tables are all cached."""
+    table = balanced_index(n)
     # chunks of subsets x states whose gathered blocks stay cache-sized
-    subsets = min(len(kept), max(1, _CHUNK_ELEMENTS >> n))
+    subsets = min(len(table), max(1, _CHUNK_ELEMENTS >> n))
     states = max(1, _CHUNK_ELEMENTS // (subsets << n))
-    gather, conj, rho, scratch_index = _chunk_buffers()
-    for s0 in range(0, len(kept), subsets):
-        s1 = min(s0 + subsets, len(kept))
-        if cached is None:
-            index = _expand(kept[s0:s1], traced[s0:s1],
-                            _view(scratch_index, (s1 - s0, kept.shape[1], traced.shape[1])))
-        else:
-            index = cached[s0:s1]
+    gather, conj, rho, _ = _chunk_buffers()
+    for s0 in range(0, len(table), subsets):
+        index = table[s0 : s0 + subsets]
         for b0 in range(0, flat.shape[0], states):
             rows = flat[b0 : b0 + states]
             shape = (len(rows),) + index.shape
             block = np.take(rows, index, axis=1, mode="clip", out=_view(gather, shape))
-            out[b0 : b0 + states, s0:s1] = gram_purities(
+            out[b0 : b0 + states, s0 : s0 + subsets] = gram_purities(
                 block, _view(conj, shape), _view(rho, shape[:-1] + shape[-2:-1]))[1]
+
+
+class _CoverPlan(NamedTuple):
+    """The cover route's Gram sets for one n; see ``_cover_plan``."""
+
+    #: (C, k+1) ascending qubits of each set
+    sets: np.ndarray
+    #: (C, k+2) kernel column each slot of a set serves, -1 for none
+    columns: np.ndarray
+    #: (C, 2^(k+1)) and (C, 2^(n-k-1)) offsets of each set and its complement
+    kept: np.ndarray
+    traced: np.ndarray
+    #: (2^(k+2), k+2): row 2x and 2x + 1 (the re and im floats of entry x
+    #: of a row of rho_C) hold +1 or -1 in column p as the qubit at
+    #: position p of a set is 0 or 1 in x; the last column is all ones
+    signs: np.ndarray
+    #: per chunk of sets: its first set, the first after it, the positions
+    #: p < k+1 whose children it needs, and the flat slots s * (k+2) + p
+    #: that serve a kernel column, with those columns
+    chunks: tuple[tuple[int, int, tuple[int, ...], np.ndarray, np.ndarray], ...]
+
+
+def _witt_sets(n: int) -> np.ndarray:
+    """66 sets of k+1 qubits that serve every kernel subset exactly once at
+    n = 11 and 12, the fewest possible: 462 subsets, 7 slots a set.
+
+    They come from the 132 hexads of the Steiner system S(5, 6, 12), in
+    which every 5 of the 12 points lie in exactly one hexad: the images of
+    {inf, 1, 3, 4, 5, 9} under x + 1, 3x and -1/x on the projective line
+    over GF(11), with inf as point 11. The 66 hexads through point 11, less
+    that point, are blocks B on points 0..10, and the sets are their
+    complements in 0..n-1, with point q as qubit q + 1. At n = 11 a set
+    serves its six 5-subsets and B; at n = 12 its seven 6-subsets, each for
+    itself or its complement.
+    """
+    p = 11
+    # x + 1, 3x and -1/x as permutations of the points 0..10 and inf = p
+    moves = ([(x + 1) % p for x in range(p)] + [p],
+             [3 * x % p for x in range(p)] + [p],
+             [p] + [-pow(x, -1, p) % p for x in range(1, p)] + [0])
+    hexads: set[frozenset[int]] = set()
+    todo = [frozenset({p, 1, 3, 4, 5, 9})]
+    while todo:
+        hexad = todo.pop()
+        if hexad not in hexads:
+            hexads.add(hexad)
+            todo.extend(frozenset(move[x] for x in hexad) for move in moves)
+    blocks = sorted(sorted(hexad - {p}) for hexad in hexads if p in hexad)
+    return np.array([[q + 1 for q in range(n) if q not in block] for block in blocks],
+                    dtype=np.intp)
+
+
+def _greedy_cover(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sets of k+1 = floor(n/2) + 1 qubits whose slots serve every kernel
+    subset once, and the kernel column each slot serves (-1 for none).
+
+    Slot p < k+1 of a set C is its child C minus its p-th qubit; at even n
+    a child without qubit 1 stands for its complement. Slot k+1 is C's
+    complement, a kernel subset at odd n only. Greedy: take the first
+    candidate that serves the most unserved subsets, give it those, and
+    repeat. The candidates are ``_witt_sets(n)`` at n = 11 and 12, which
+    the greedy takes whole, and all (k+1)-subsets in ``combinations`` order
+    elsewhere.
+    """
+    k = n // 2
+    kernel = np.array(_kernel_subsets(n), dtype=np.intp)
+    everyone = (1 << n) - 1
+    # kernel column by qubit bitmask, bit q - 1 for qubit q
+    column = np.full(1 << n, -1, dtype=np.intp)
+    masks = (1 << (kernel - 1)).sum(axis=1)
+    column[masks] = np.arange(len(kernel))
+    if n % 2 == 0:
+        column[everyone ^ masks] = np.arange(len(kernel))
+    candidates = (_witt_sets(n) if n in (11, 12) else
+                  np.array(list(combinations(range(1, n + 1), k + 1)), dtype=np.intp))
+    bits = 1 << (candidates - 1)
+    whole = bits.sum(axis=1)
+    serves = column[np.concatenate([whole[:, None] ^ bits, (everyone ^ whole)[:, None]], axis=1)]
+    # the candidates serving each column; every column has equally many
+    flat = serves.ravel()
+    order = np.argsort(flat, kind="stable")
+    servers = (order[flat[order] >= 0] // serves.shape[1]).reshape(len(kernel), -1)
+    gain = (serves >= 0).sum(axis=1)
+    free = np.ones(len(kernel), dtype=bool)
+    chosen, columns = [], []
+    while free.any():
+        c = int(np.argmax(gain))
+        row = serves[c]
+        new = (row >= 0) & free[row]
+        free[row[new]] = False
+        np.subtract.at(gain, servers[row[new]].ravel(), 1)
+        chosen.append(c)
+        columns.append(np.where(new, row, -1))
+    return candidates[chosen], np.array(columns)
+
+
+@lru_cache(maxsize=None)
+def _cover_plan(n: int) -> _CoverPlan:
+    """``_greedy_cover(n)`` with the offsets, signs and chunks of the kernel."""
+    sets, columns = _greedy_cover(n)
+    k1 = n // 2 + 1
+    signs = np.ones((2 << k1, k1 + 1))
+    x = np.arange(2 << k1)[:, None] >> 1
+    signs[:, :k1] = 1 - 2 * ((x >> np.arange(k1 - 1, -1, -1)) & 1)
+    # as many sets as fit their rho_C in a chunk
+    per_chunk = max(1, _CHUNK_ELEMENTS >> 2 * k1)
+    chunks = []
+    for s0 in range(0, len(sets), per_chunk):
+        part = columns[s0 : s0 + per_chunk]
+        positions = tuple(np.flatnonzero((part[:, :k1] >= 0).any(axis=0)).tolist())
+        slots = np.flatnonzero(part.ravel() >= 0)
+        chunks.append((s0, s0 + per_chunk, positions, slots, part.ravel()[slots]))
+    plan = _CoverPlan(sets, columns, *_offsets(sets, n), signs, tuple(chunks))
+    for array in (sets, columns, signs, *(a for chunk in chunks for a in chunk[3:])):
+        array.flags.writeable = False
+    return plan
+
+
+def _cover_purities(flat: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Tr rho^2 of the kernel's subsets into ``out`` (states, S) from one
+    Gram rho_C = M_C M_C^H per set C of ``_cover_plan``: the route of blocks
+    above ``_PRODUCT_ROUTE_AMPLITUDES``.
+
+    For the qubit at position p of C, let A and B be the diagonal blocks of
+    rho_C where it is 0 and 1. The child C minus that qubit has
+    rho = A + B, so Tr rho^2 = (||rho_C||^2 + s_p^T W s_p) / 2 + 2 <A, B>,
+    with W = |rho_C|^2 entrywise, s_p the signs of the plan and <A, B> the
+    real inner product. One product W S gives the first two terms of every
+    child; <A, B> is one sum over strided views per position. A position no
+    set of a chunk needs is skipped, which saves 10% and 5% of the time at
+    n = 13 and 14, where the greedy sets leave slots unused.
+    """
+    plan = _cover_plan(n)
+    k1 = n // 2 + 1
+    dim = 1 << k1
+    per_chunk = plan.chunks[0][1]
+    states = max(1, _CHUNK_ELEMENTS // (per_chunk << 2 * k1))
+    gather, conj, rho, scratch_index = _chunk_buffers()
+    for s0, s1, positions, slots, columns in plan.chunks:
+        kept, traced = plan.kept[s0:s1], plan.traced[s0:s1]
+        index = _expand(kept, traced, _view(scratch_index, (len(kept), dim, traced.shape[1])))
+        for b0 in range(0, flat.shape[0], states):
+            rows = flat[b0 : b0 + states]
+            shape = (len(rows),) + index.shape
+            m = np.take(rows, index, axis=1, mode="clip", out=_view(gather, shape))
+            r = gram(m, _view(conj, shape), _view(rho, shape[:-1] + (dim,)))
+            # each rho_C with re, im interleaved: (blocks, dim, 2 dim)
+            parts = r.view(np.float64).reshape(-1, dim, 2 * dim)
+            squares = np.square(
+                parts, out=_view(conj, r.shape).view(np.float64).reshape(parts.shape))
+            # s_p^T W s_p per position, and ||rho_C||^2 last
+            sws = np.einsum("bxj,xj->bj", squares @ plan.signs, plan.signs[::2])
+            cross = np.zeros_like(sws)
+            for p in positions:
+                if p < k1 - 1:
+                    v = parts.reshape(-1, 1 << p, 2, dim >> p + 1, 1 << p, 2, dim >> p)
+                    cross[:, p] = np.einsum("birjs,birjs->b", v[:, :, 0, :, :, 0],
+                                            v[:, :, 1, :, :, 1])
+                else:
+                    # the last qubit pairs entries one row and one column
+                    # apart, where the float views would run two floats at a
+                    # time; as B is Hermitian, <A, B> = Re sum A[x, y] B[y, x]
+                    blocks = r.reshape(-1, dim, dim)
+                    cross[:, p] = np.einsum("bxy,byx->b", blocks[:, 0::2, 0::2],
+                                            blocks[:, 1::2, 1::2]).real
+            values = 0.5 * (sws + sws[:, k1:]) + 2 * cross
+            out[b0 : b0 + states, columns] = values.reshape(len(rows), -1)[:, slots]
 
 
 def balanced_purities(amps: np.ndarray, n: int) -> np.ndarray:
@@ -343,17 +559,24 @@ def balanced_purities(amps: np.ndarray, n: int) -> np.ndarray:
     ``amps`` is (..., 2**n), and any other width raises DimensionError;
     the result is (..., C(n, floor(n/2))). Blocks of at most
     ``_ENTRY_ROUTE_AMPLITUDES`` amplitudes (n <= 4) are summed from their
-    Gram entries (``_entry_purities``), larger ones from batched products
-    rho = M M^H (``_product_purities``); the module docstring gives the
-    crossover. Either way, beyond the result (and a complex128
-    copy of input of another dtype), the memory it takes is a chunk-sized
-    constant.
+    Gram entries (``_entry_purities``), blocks up to
+    ``_PRODUCT_ROUTE_AMPLITUDES`` (n <= 10) from batched products
+    rho = M M^H (``_product_purities``), and larger ones from one Gram per
+    set of the cover (``_cover_purities``); the module docstring gives the
+    crossovers. Each way, beyond the result (and a complex128 copy of
+    input of another dtype), the memory it takes is a chunk-sized constant
+    and the cached tables of n.
     """
-    half = len(balanced_offsets(n)[0])
+    half = len(_kernel_subsets(n))
     amps = _states_of(amps, n)
     flat = np.asarray(amps, dtype=np.complex128).reshape(-1, 1 << n)
     out = np.empty((flat.shape[0], comb(n, n // 2)))
-    route = _entry_purities if 1 << n <= _ENTRY_ROUTE_AMPLITUDES else _product_purities
+    if 1 << n <= _ENTRY_ROUTE_AMPLITUDES:
+        route = _entry_purities
+    elif 1 << n <= _PRODUCT_ROUTE_AMPLITUDES:
+        route = _product_purities
+    else:
+        route = _cover_purities
     route(flat, n, out[:, :half])
     if n % 2 == 0:
         # the complements, in reverse order; a block of rows at a time, since

@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 import threading
 import tracemalloc
@@ -424,7 +425,7 @@ def test_batched_closed_forms_reject_other_widths(func, n, lead):
 def test_batched_closed_forms_reject_widths_that_are_no_qubit_count(func):
     with pytest.raises(ArityError, match="got 12 amplitudes per state"):
         func(np.ones((3, 12)))
-    with pytest.raises(ArityError, match="got n=0"):
+    with pytest.raises(ArityError, match=re.escape("got shape ()")):
         func(np.float64(1.0))
 
 

@@ -166,17 +166,20 @@ def test_subset_order_and_duplicates_canonicalized():
     np.testing.assert_array_equal(a.entries, b.entries)
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_balanced_purities_match_per_subset(n):
     rng = np.random.default_rng(400 + n)
     state = random_state(n, rng)
     batch = random_amplitude_batch(n, 3, rng)
+    real = batch.real / np.linalg.norm(batch.real, axis=-1, keepdims=True)
     single = balanced_purities(state.amplitudes, n)
     stacked = balanced_purities(batch, n)
+    from_real = balanced_purities(real, n)
     mapping = all_balanced_purities(state)
     assert single.shape == (len(balanced_subsets(n)),)
-    assert stacked.shape == (3, len(balanced_subsets(n)))
+    assert stacked.shape == from_real.shape == (3, len(balanced_subsets(n)))
     assert list(mapping) == list(balanced_subsets(n))
+    np.testing.assert_array_equal(from_real, balanced_purities(real.astype(complex), n))
     for j, subset in enumerate(balanced_subsets(n)):
         want = float(subset_purity(state.amplitudes, n, subset))
         assert abs(single[j] - want) < 1e-13
@@ -184,9 +187,12 @@ def test_balanced_purities_match_per_subset(n):
         np.testing.assert_allclose(
             stacked[:, j], subset_purity(batch, n, subset), rtol=0, atol=1e-13
         )
+        np.testing.assert_allclose(
+            from_real[:, j], subset_purity(real, n, subset), rtol=0, atol=1e-13
+        )
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
 def test_balanced_purities_complements_exactly_equal(n):
     rng = np.random.default_rng(500 + n)
     values = all_balanced_purities(random_state(n, rng))
@@ -208,17 +214,27 @@ def test_balanced_purities_short_last_chunk_and_real_input():
 
 
 def test_balanced_purities_agree_across_threads():
+    assert_agree_across_threads(8, 50)
+
+
+def test_balanced_purities_agree_across_threads_on_the_cover_route():
+    assert_agree_across_threads(11, 10)
+
+
+def assert_agree_across_threads(n, repeats):
+    """Four threads, each repeating one state's purities, match one thread."""
     from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(601)
-    states = [random_state(8, rng).amplitudes for _ in range(4)]
-    want = [balanced_purities(a, 8) for a in states]
+    states = [random_state(n, rng).amplitudes for _ in range(4)]
+    want = [balanced_purities(a, n) for a in states]
 
     def repeat(a):
-        return [balanced_purities(a, 8) for _ in range(50)]
+        return [balanced_purities(a, n) for _ in range(repeats)]
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         for expected, runs in zip(want, pool.map(repeat, states)):
+            assert len(runs) == repeats
             for got in runs:
                 np.testing.assert_array_equal(got, expected)
 
@@ -492,3 +508,86 @@ def test_entry_route_memory_is_the_output_plus_a_chunk_sized_constant(count):
     assert values.shape == (count, 6)
     # far less than one gathered table of the batch (120 amplitudes per state)
     assert peak <= values.nbytes + reduction._CHUNK_ELEMENTS * 16
+
+
+#: Qubit counts whose blocks take the cover route: more than
+#: ``_PRODUCT_ROUTE_AMPLITUDES`` amplitudes.
+COVER_NS = [n for n in range(2, MAX_QUBITS + 1) if 1 << n > reduction._PRODUCT_ROUTE_AMPLITUDES]
+
+
+def test_cover_route_covers_from_eleven_qubits():
+    assert COVER_NS == [11, 12, 13, 14]
+
+
+def test_cover_route_boundary(monkeypatch):
+    """The last n on batched products per subset and the first on the cover route."""
+    first = min(COVER_NS)
+    rng = np.random.default_rng(860)
+
+    def not_this_route(*args):
+        raise AssertionError("wrong route")
+
+    for n, other in ((first - 1, "_cover_purities"), (first, "_product_purities")):
+        with monkeypatch.context() as patch:
+            patch.setattr(reduction, other, not_this_route)
+            amps = random_state(n, rng).amplitudes
+            batch = random_amplitude_batch(n, 2, rng)
+            assert_matches_per_subset(balanced_purities(amps, n), amps, n)
+            assert_matches_per_subset(balanced_purities(batch, n), batch, n)
+
+
+@pytest.mark.parametrize("n", COVER_NS)
+def test_cover_plan_serves_every_kernel_subset_once(n):
+    plan = reduction._cover_plan(n)
+    k = n // 2
+    kernel = kernel_subsets(n)
+    everyone = set(range(1, n + 1))
+    assert plan.sets.shape == (len(plan.sets), k + 1)
+    assert plan.columns.shape == (len(plan.sets), k + 2)
+    served = np.sort(plan.columns[plan.columns >= 0])
+    np.testing.assert_array_equal(served, np.arange(len(kernel)))
+    if n in (11, 12):  # the fewest sets: seven serving slots each
+        assert len(plan.sets) == 66 == len(kernel) // 7
+    for qubits, columns in zip(plan.sets.tolist(), plan.columns.tolist()):
+        assert qubits == sorted(set(qubits))
+        for p, column in enumerate(columns):
+            if column < 0:
+                continue
+            # slot k + 1 is the whole set, whose complement it serves
+            child = set(qubits) - {qubits[p]} if p <= k else set(qubits)
+            assert set(kernel[column]) in (child, everyone - child)
+    # the chunks list every serving slot once, and each position a chunk needs
+    slots = []
+    for s0, s1, positions, flat_slots, columns in plan.chunks:
+        part = plan.columns[s0:s1]
+        np.testing.assert_array_equal(part.ravel()[flat_slots], columns)
+        assert positions == tuple(p for p in range(k + 1) if (part[:, p] >= 0).any())
+        slots.extend(columns.tolist())
+    assert sorted(slots) == list(range(len(kernel)))
+    reduction._cover_plan.cache_clear()
+    rebuilt = reduction._cover_plan(n)
+    for name in ("sets", "columns", "kept", "traced", "signs"):
+        np.testing.assert_array_equal(getattr(rebuilt, name), getattr(plan, name))
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_cover_route_matches_the_product_route_below_its_threshold(n):
+    """The cover kernel itself, run where balanced_purities does not take it."""
+    rng = np.random.default_rng(870 + n)
+    batch = random_amplitude_batch(n, 3, rng)
+    out = np.empty((3, len(kernel_subsets(n))))
+    reduction._cover_purities(batch, n, out)
+    np.testing.assert_allclose(out, balanced_purities(batch, n)[:, : out.shape[1]],
+                               rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_cover_route_ghz_and_product_states(n):
+    ghz = np.zeros(1 << n)
+    ghz[[0, -1]] = S2
+    np.testing.assert_allclose(balanced_purities(ghz, n), 0.5, rtol=0, atol=1e-14)
+    rng = np.random.default_rng(880 + n)
+    product = np.ones(1, dtype=complex)
+    for _ in range(n):
+        product = np.kron(product, random_state(1, rng).amplitudes)
+    np.testing.assert_allclose(balanced_purities(product, n), 1.0, rtol=0, atol=1e-13)
