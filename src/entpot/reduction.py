@@ -17,24 +17,28 @@ in chunks through the same per-thread buffers:
 For small blocks a batched product of 4x4 blocks costs about 0.3-0.5 us
 per block for 64 multiply-adds, nearly all of it per-block overhead, so
 there the purity is summed from Gram entries instead:
-Tr rho^2 = sum_x G[x, x]^2 + 2 sum_{x<y} |G[x, y]|^2, with
-G[x, y] = sum_z M[x, z] conj(M[y, z]) for x <= y, each entry an
-elementwise product of two rows gathered from ``balanced_index``. Time per
-call, product route -> entry route (2-vCPU Intel Xeon, one BLAS thread,
-numpy 2.4.6; single states: medians of five alternating processes,
-batches: medians of seven interleaved rounds in one process):
+Tr rho^2 = sum_x G[x, x]^2 + 2 sum_{x<y} |G[x, y]|^2. Each entry above the
+diagonal, G[x, y] = sum_z M[x, z] conj(M[y, z]), is an elementwise product
+of two rows gathered from ``balanced_index``: 72 complex rows per state at
+n = 4, where gathering the diagonal too took 120. Each diagonal entry,
+G[x, x] = sum_z |M[x, z]|^2, is a real sum of squared moduli, and one
+product of a 0/1 incidence table with the 2^n squared moduli of a state
+gives all of them. Time per call, product route -> entry route (2-vCPU
+Intel Xeon, one BLAS thread, numpy 2.4.6; medians of nine interleaved
+rounds in one process, the best of three calls each below 2x10^5 states):
 
-    n  block  1 state             10^3 states         2x10^5 states
-    2  2x2    19.7 -> 16.9 us     0.32 -> 0.043 ms    63 -> 7.6 ms
-    3  2x4    18.6 -> 17.2 us     0.94 -> 0.22 ms     186 -> 30 ms
-    4  4x4    20.3 -> 17.8 us     1.13 -> 0.47 ms     226 -> 102 ms
-    5  4x8    21.4 -> 20.8 us     4.2 -> 3.1 ms       971 -> 750 ms
-    6  8x8    25 -> 30 us         6.4 -> 13.5 ms
+    n  block  1 state          10^3 states        2x10^5 states
+    2  2x2    20.7 -> 18.3 us  0.34 -> 0.044 ms   65 -> 8.2 ms
+    3  2x4    21.9 -> 19.6 us  0.97 -> 0.094 ms   307 -> 28 ms
+    4  4x4    24.6 -> 20.6 us  1.88 -> 0.52 ms    247 -> 77 ms
+    5  4x8    34.2 -> 33.6 us  4.1 -> 1.7 ms      977 -> 418 ms
+    6  8x8    27.9 -> 34.7 us  6.3 -> 9.4 ms
 
-n = 5 stays on the product route: its batches would gain 1.3-1.4x, but a
-single state gained 3-12% in medians and lost in a quarter of the runs,
-within the host's run-to-run spread, and no caller batches five-qubit
-states.
+Gathering the diagonal entries as products too took 98-100 ms for 2x10^5
+four-qubit states and 0.48-0.50 ms for 10^3 on the same host. n = 5 stays
+on the product route: its batches would gain 2.3x, but a single state
+gains nothing beyond the host's run-to-run spread, and no caller batches
+five-qubit states.
 
 For large blocks the products run near the rate one core reaches on big
 zgemm, so only doing fewer of them helps. One Gram rho_C = M_C M_C^H of a
@@ -77,7 +81,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb, prod
 from typing import Iterable, Mapping, NamedTuple
@@ -143,6 +147,14 @@ _PRODUCT_ROUTE_AMPLITUDES = 1 << 10
 #: Entries of each work buffer: one rho_C of the cover route at MAX_QUBITS,
 #: 2^(k+1) x 2^(k+1) for k = 7.
 _BUFFER_ELEMENTS = max(_CHUNK_ELEMENTS, 1 << 2 * (MAX_QUBITS // 2 + 1))
+
+#: Entries of the larger half of a chunk of the Gram-entry route: its
+#: gathered rows x (or y), or its amplitudes (or their conjugates). The
+#: two halves fill one work buffer: 455 states at n = 4. Over 15
+#: interleaved rounds of one 2x10^5-state and sixty 10^3-state four-qubit
+#: batches, 2^15 took 103.5 ms and 2^14 105.6 ms, faster in 11 (2-vCPU
+#: Intel Xeon, one BLAS thread).
+_ENTRY_CHUNK_ELEMENTS = 1 << 15
 
 #: Per-thread work buffers of ``balanced_purities``, see ``_chunk_buffers``.
 _scratch = threading.local()
@@ -300,10 +312,14 @@ def _chunk_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     and rho in the complex ones, at most ``_CHUNK_ELEMENTS`` each. The
     cover route keeps M_C, conj(M_C) and then the squares of rho_C's
     floats, and rho_C in them, and the chunk's gather index in the intp
-    one; one rho_C takes 2^16 entries at n = 14, the only n that fills
-    more than ``_CHUNK_ELEMENTS``. The Gram-entry route keeps its two row
-    gathers in the first two and the chunk's amplitudes, then its Gram
-    entries, in the third. Pages no call has touched take no memory.
+    one; one rho_C takes 2^16 entries at n = 14, the only n of these two
+    routes that fills more than ``_CHUNK_ELEMENTS``. The Gram-entry route
+    (``_EntryWork``) keeps the chunk's amplitudes and their conjugates,
+    then the squared moduli, in the first; both row gathers, then the sums
+    of the squared entries, in the second; and the Gram entries above the
+    diagonal, followed by the diagonal ones, in the third. Its two halves
+    of ``_ENTRY_CHUNK_ELEMENTS`` fill the first buffer at n = 2 and the
+    second at n = 3 and 4. Pages no call has touched take no memory.
 
     They are made once per thread and reused. With new arrays for every
     chunk, malloc gave the few hundred KiB back to the system after each
@@ -321,49 +337,137 @@ def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _entry_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-pair gather tables of the Gram entries x <= y of every kernel block.
+def _entry_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-pair gather table of the Gram entries x < y of every kernel block,
+    and the incidence table of its rows.
 
-    ``rows_x[z, s, e]`` and ``rows_y[z, s, e]`` are ``balanced_index(n)[s, x, z]``
-    and ``[s, y, z]`` for the e-th pair (x, y) of ``triu_indices(2^k)``, so
-    G[x, y] = sum_z M[x, z] conj(M[y, z]) is a product of the two gathers
-    summed over z. ``weights[e]`` is the weight of |G[x, y]|^2 in Tr rho^2:
-    1 on the diagonal, 2 above it for the mirrored entry below.
+    ``pairs[0, z, s, e]`` is ``balanced_index(n)[s, x, z]`` and ``pairs[1, z, s, e]``
+    is 2^n + ``balanced_index(n)[s, y, z]`` for the e-th pair (x, y) of
+    ``triu_indices(2^k, 1)``: rows of a chunk's amplitudes followed by their
+    conjugates, so G[x, y] = sum_z M[x, z] conj(M[y, z]) is the product of
+    the two gathers summed over z. ``incidence[s 2^k + x, i]`` is 1 where
+    basis index i lies in row x of block s and 0 elsewhere, so its product
+    with the squared moduli |a_i|^2 is every diagonal entry G[x, x].
     """
     index = balanced_index(n)
-    x, y = np.triu_indices(index.shape[1])
-    rows_x, rows_y = (np.ascontiguousarray(index[:, rows].transpose(2, 0, 1)) for rows in (x, y))
-    weights = np.where(x == y, 1.0, 2.0)
-    for table in (rows_x, rows_y, weights):
+    blocks, dim, _ = index.shape
+    x, y = np.triu_indices(dim, 1)
+    pairs = np.stack([index[:, x].transpose(2, 0, 1), (1 << n) + index[:, y].transpose(2, 0, 1)])
+    incidence = np.zeros((blocks * dim, 1 << n))
+    np.put_along_axis(incidence, index.reshape(blocks * dim, -1), 1.0, axis=1)
+    for table in (pairs, incidence):
         table.flags.writeable = False
-    return rows_x, rows_y, weights
+    return pairs, incidence
+
+
+class _EntryWork(NamedTuple):
+    """Views of one thread's buffers for a chunk of ``count`` states on the
+    Gram-entry route at n; see ``_entry_work``."""
+
+    #: (2^(n+1), count): the chunk's amplitudes, then their conjugates
+    both: np.ndarray
+    amplitudes: np.ndarray
+    conjugates: np.ndarray
+    #: (2^n, 2 count) floats of the conjugates, squared in place, and their
+    #: re and im columns
+    squares: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    #: (2^n, count) squared moduli, in the place of the amplitudes
+    moduli: np.ndarray
+    #: (2, Z, S, E, count) gathered rows; the products take the first half
+    gathered: np.ndarray
+    products: np.ndarray
+    factors: np.ndarray
+    #: (S, E, count) Gram entries above the diagonal, then (S 2^k, count)
+    #: diagonal entries, and the floats of both, squared in place
+    entries: np.ndarray
+    diagonal: np.ndarray
+    floats: np.ndarray
+    #: the squared floats of the entries, (S, E, 2 count), and of the
+    #: diagonal, (S, 2^k, count)
+    entry_squares: np.ndarray
+    diagonal_squares: np.ndarray
+    #: in the place of the gathered rows: (S, 2 count) sums of the entries'
+    #: squares over E, their re and im columns, (S, count) sums of the
+    #: diagonal's over 2^k, and (S, count) sum_{x<y} |G[x, y]|^2
+    entry_sums: np.ndarray
+    entry_re: np.ndarray
+    entry_im: np.ndarray
+    diagonal_sums: np.ndarray
+    off_diagonal: np.ndarray
+
+
+def _build_entry_work(buffers: tuple[np.ndarray, ...], n: int, count: int) -> _EntryWork:
+    """The ``_EntryWork`` views of ``buffers``, one thread's ``_chunk_buffers``."""
+    pairs, incidence = _entry_tables(n)
+    _, _, subsets, pair_count = pairs.shape
+    first, second, third, _ = buffers
+    both = _view(first, (2 << n, count))
+    squares = both[1 << n :].view(np.float64)
+    gathered = _view(second, pairs.shape + (count,))
+    entries = _view(third, (subsets, pair_count, count))
+    floats = third.view(np.float64)[: 2 * entries.size + len(incidence) * count]
+    diagonal = floats[2 * entries.size :].reshape(len(incidence), count)
+    sums = second.view(np.float64)
+    size = subsets * count
+    entry_sums = sums[: 2 * size].reshape(subsets, 2 * count)
+    return _EntryWork(
+        both=both, amplitudes=both[: 1 << n], conjugates=both[1 << n :],
+        squares=squares, re=squares[:, 0::2], im=squares[:, 1::2],
+        moduli=_view(first.view(np.float64), (1 << n, count)),
+        gathered=gathered, products=gathered[0], factors=gathered[1],
+        entries=entries, diagonal=diagonal, floats=floats,
+        entry_squares=floats[: 2 * entries.size].reshape(subsets, pair_count, 2 * count),
+        diagonal_squares=diagonal.reshape(subsets, -1, count),
+        entry_sums=entry_sums, entry_re=entry_sums[:, 0::2], entry_im=entry_sums[:, 1::2],
+        diagonal_sums=sums[2 * size : 3 * size].reshape(subsets, count),
+        off_diagonal=sums[3 * size : 4 * size].reshape(subsets, count))
+
+
+def _entry_work(n: int, count: int) -> _EntryWork:
+    """This thread's ``_EntryWork`` for chunks of ``count`` states at n.
+
+    Each thread keeps the views of its last eight chunk sizes, enough for
+    the full and the last chunk of batches at all three n of the route.
+    Building them takes about as long as the arithmetic of a one-state
+    chunk: built per chunk, they made a one-state call at n = 4 1.6x
+    slower.
+    """
+    if not hasattr(_scratch, "entry_work"):
+        _scratch.entry_work = lru_cache(maxsize=8)(partial(_build_entry_work, _chunk_buffers()))
+    return _scratch.entry_work(n, count)
 
 
 def _entry_purities(flat: np.ndarray, n: int, out: np.ndarray) -> None:
     """Tr rho^2 of the kernel's subsets into ``out`` (states, S), summed from
     Gram entries: the small-block route of ``balanced_purities``.
 
-    Each chunk lays its states out innermost, amplitude by state, so every
-    gather copies whole rows and the product, the sum over z and the squares
-    run over contiguous runs of states.
+    Tr rho^2 = sum_x G[x, x]^2 + 2 sum_{x<y} |G[x, y]|^2. The entries above
+    the diagonal are products of gathered rows; the diagonal ones, real sums
+    of squared moduli, are one product of the incidence table with the
+    chunk's 2^n squared moduli per state. Each chunk lays its states out
+    innermost, amplitude by state, so every gather copies whole rows and the
+    products, sums and squares run over contiguous runs of states.
     """
-    rows_x, rows_y, weights = _entry_tables(n)
-    states = max(1, _CHUNK_ELEMENTS // rows_x.size)
-    left, right, entries, _ = _chunk_buffers()
+    pairs, incidence = _entry_tables(n)
+    states = _ENTRY_CHUNK_ELEMENTS // max(pairs.size // 2, 1 << n)
     for b0 in range(0, flat.shape[0], states):
         rows = flat[b0 : b0 + states]
-        shape = rows_x.shape + (len(rows),)
-        # amplitude-major copy of the chunk; rho's buffer is free until the sum below
-        columns = _view(entries, (1 << n, len(rows)))
-        np.copyto(columns, rows.T)
-        m_x = np.take(columns, rows_x, axis=0, mode="clip", out=_view(left, shape))
-        m_y = np.take(np.conjugate(columns, out=columns), rows_y, axis=0, mode="clip",
-                      out=_view(right, shape))
-        g = np.add.reduce(np.multiply(m_x, m_y, out=m_x), axis=0, out=_view(entries, shape[1:]))
-        # a complex G viewed as its real dtype lists re, im interleaved
-        parts = g.view(np.float64)
-        squares = weights @ np.square(parts, out=parts)
-        np.add(squares[:, 0::2], squares[:, 1::2], out=out[b0 : b0 + states].T)
+        w = _entry_work(n, len(rows))
+        np.copyto(w.amplitudes, rows.T)
+        np.conjugate(w.amplitudes, out=w.conjugates)
+        w.both.take(pairs, axis=0, out=w.gathered, mode="clip")
+        np.add.reduce(np.multiply(w.products, w.factors, out=w.products), axis=0, out=w.entries)
+        np.square(w.squares, out=w.squares)
+        np.matmul(incidence, np.add(w.re, w.im, out=w.moduli), out=w.diagonal)
+        np.square(w.floats, out=w.floats)
+        np.add.reduce(w.entry_squares, axis=1, out=w.entry_sums)
+        np.add.reduce(w.diagonal_squares, axis=1, out=w.diagonal_sums)
+        # sum_x G[x, x]^2 + 2 sum_{x<y} |G[x, y]|^2
+        off = np.add(w.entry_re, w.entry_im, out=w.off_diagonal)
+        np.add(w.diagonal_sums, off, out=w.diagonal_sums)
+        np.add(w.diagonal_sums, off, out=out[b0 : b0 + states].T)
 
 
 def _product_purities(flat: np.ndarray, n: int, out: np.ndarray) -> None:

@@ -387,8 +387,10 @@ ENTRY_NS = [n for n in range(2, MAX_QUBITS + 1) if 1 << n <= reduction._ENTRY_RO
 
 
 def entry_chunk(n):
-    """States per chunk of the Gram-entry route at n."""
-    return reduction._CHUNK_ELEMENTS // reduction._entry_tables(n)[0].size
+    """States per chunk of the Gram-entry route at n: its larger half, one
+    of the two row gathers or the amplitudes, holds a chunk of entries."""
+    pairs = reduction._entry_tables(n)[0]
+    return reduction._ENTRY_CHUNK_ELEMENTS // max(pairs[0].size, 1 << n)
 
 
 def assert_matches_per_subset(values, amps, n):
@@ -400,10 +402,13 @@ def assert_matches_per_subset(values, amps, n):
 
 def test_entry_route_covers_up_to_four_qubits():
     assert ENTRY_NS == [2, 3, 4]
+    # both halves of a chunk, the x and y gathers or the amplitudes and
+    # their conjugates, fit one per-thread buffer
+    assert 2 * reduction._ENTRY_CHUNK_ELEMENTS <= reduction._BUFFER_ELEMENTS
 
 
 @pytest.mark.parametrize("n", ENTRY_NS)
-def test_entry_route_single_states_and_batch_sizes_around_the_chunk(n):
+def test_entry_route_single_states_and_batch_sizes_around_the_chunk(n, monkeypatch):
     rng = np.random.default_rng(810 + n)
     for _ in range(5):
         amps = random_state(n, rng).amplitudes
@@ -411,11 +416,44 @@ def test_entry_route_single_states_and_batch_sizes_around_the_chunk(n):
         assert values.shape == (len(balanced_subsets(n)),)
         assert_matches_per_subset(values, amps, n)
     chunk = entry_chunk(n)
+    sizes = []
+    work = reduction._entry_work
+
+    def counted_work(n, count):
+        sizes.append(count)
+        return work(n, count)
+
+    monkeypatch.setattr(reduction, "_entry_work", counted_work)
     for count in (1, chunk - 1, chunk, chunk + 1, 1000):
+        sizes.clear()
         batch = random_amplitude_batch(n, count, rng)
         values = balanced_purities(batch, n)
         assert values.shape == (count, len(balanced_subsets(n)))
         assert_matches_per_subset(values, batch, n)
+        # the route cuts its chunks where entry_chunk says
+        assert sizes == [chunk] * (count // chunk) + [count % chunk] * (count % chunk > 0)
+
+
+@pytest.mark.parametrize("n", ENTRY_NS)
+def test_entry_route_basis_ghz_and_haar_rows_across_chunks(n):
+    """Computational-basis rows give exactly 1, GHZ rows 1/2, and Haar rows
+    the per-subset value, wherever they fall in a batch of three chunks."""
+    rng = np.random.default_rng(860 + n)
+    dim = 1 << n
+    count = 2 * entry_chunk(n) + 7
+    batch = random_amplitude_batch(n, count, rng)
+    kind = rng.integers(3, size=count)  # 0 basis, 1 GHZ, 2 Haar
+    basis = np.flatnonzero(kind == 0)
+    batch[basis] = 0
+    batch[basis, rng.integers(dim, size=len(basis))] = 1
+    ghz = np.flatnonzero(kind == 1)
+    batch[ghz] = 0
+    batch[ghz, 0] = batch[ghz, -1] = 1 / np.sqrt(2)
+    values = balanced_purities(batch, n)
+    assert np.all(values[basis] == 1.0)
+    np.testing.assert_allclose(values[ghz], 0.5, rtol=0, atol=1e-15)
+    haar = kind == 2
+    assert_matches_per_subset(values[haar], batch[haar], n)
 
 
 @pytest.mark.parametrize("n", ENTRY_NS)
@@ -506,8 +544,9 @@ def test_entry_route_memory_is_the_output_plus_a_chunk_sized_constant(count):
     finally:
         tracemalloc.stop()
     assert values.shape == (count, 6)
-    # far less than one gathered table of the batch (120 amplitudes per state)
-    assert peak <= values.nbytes + reduction._CHUNK_ELEMENTS * 16
+    # far less than one gathered table of the batch (144 amplitudes per
+    # state): one chunk of floats
+    assert peak <= values.nbytes + reduction._ENTRY_CHUNK_ELEMENTS * 8
 
 
 #: Qubit counts whose blocks take the cover route: more than
