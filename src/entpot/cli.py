@@ -2,14 +2,14 @@
 
 Subcommands: ``analyze`` (full bipartition report), ``check`` (maximal
 entanglement verdict; exit 0 yes / 1 no / 4 not claimed), ``minimize``
-(potential minimization), ``states`` (catalog listing/emission), ``parse``
-(expression validation).
+(potential minimization, 2..10 qubits), ``states`` (catalog
+listing/emission), ``parse`` (expression validation).
 
 Exit codes: 0 success (or verdict yes), 1 verdict no, 2 parse/validation
-error, including input above ``qstate.MAX_QUBITS`` qubits and running out
-of memory, 3 I/O error, 4 verdict not claimed (``check`` of a state of
-other than four qubits, where the K1 + K2 criterion applies; a Bell state
-for one), 64 usage error.
+error, including input above ``qstate.MAX_QUBITS`` qubits, a ``minimize``
+of more than 10 and running out of memory, 3 I/O error, 4 verdict not
+claimed (``check`` of a state of other than four qubits, where the K1 + K2
+criterion applies; a Bell state for one), 64 usage error.
 """
 from __future__ import annotations
 

@@ -11,6 +11,10 @@ gathers the blocks M of every balanced subset, forms rho = M M^H with
 reuses that M and rho for rho M and writes it back to basis order through
 the same gather index. The descent gives every Armijo trial point a value
 pass and only the accepted point a gradient pass.
+
+It takes n = 2..``CACHED_INDEX_QUBITS`` (10), where every gather table is
+cached; larger n are rejected before allocating, since each pass holds all
+blocks at once (644 MiB at n = 13). ``analyze`` or ``pi_me`` gives their value.
 """
 from __future__ import annotations
 
@@ -22,8 +26,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateStateError, DimensionError
-from .qstate import MAX_QUBITS, PureState
+from .errors import ConfigError, DegenerateStateError, DimensionError, NormalizationError
+from .qstate import PureState
 from .reduction import CACHED_INDEX_QUBITS, balanced_index, gram
 
 #: Armijo sufficient-decrease constant, step shrink factor, and the first
@@ -38,6 +42,11 @@ GRAD_TOL = 1e-9
 MAX_ITERS = 5000
 STEP_TOL = 1e-10
 OBJECTIVE_TOL = 1e-12
+#: |c|^2 the value pass takes: there |c|^4, and Tr rho^2 summed over at most
+#: 126 subsets (each at least |c|^4 / 32), stay normal float64s.
+_NORM_SQ_RANGE = (2.0**-508, 2.0**508)
+
+_LARGER_STATES = "analyze or pi_me gives the potential of larger states"
 
 StopReason = Literal["grad_tol", "step_tol", "ftol", "max_iters"]
 
@@ -45,11 +54,10 @@ StopReason = Literal["grad_tol", "step_tol", "ftol", "max_iters"]
 def _decode(point: np.ndarray) -> tuple[np.ndarray, int]:
     """Complex view of ``point``: interleaved re/im is complex128's own layout."""
     point = np.ascontiguousarray(point, dtype=np.float64)
-    if point.ndim != 1 or point.size < 8 or point.size & (point.size - 1):
-        raise DimensionError(
-            f"point must have length 2**(n+1) with n >= 2, got {point.shape}"
-        )
     n = point.size.bit_length() - 2
+    if point.ndim != 1 or point.size & (point.size - 1) or not 2 <= n <= CACHED_INDEX_QUBITS:
+        raise DimensionError(f"point must have length 2**(n+1) with n in "
+                             f"2..{CACHED_INDEX_QUBITS}, got {point.shape}; {_LARGER_STATES}")
     return point.view(np.complex128), n
 
 
@@ -58,6 +66,7 @@ def encode_state(state: PureState) -> np.ndarray:
     return state.amplitudes.view(np.float64).copy()
 
 
+@lru_cache(maxsize=None)
 def _write_back_positions(n: int) -> np.ndarray:
     """Flat position of every block entry of ``balanced_index(n)`` in an
     (S, 2^n) array: row s of the index plus s 2^n, flattened."""
@@ -67,16 +76,17 @@ def _write_back_positions(n: int) -> np.ndarray:
     return positions
 
 
-#: Kept for the same n as ``balanced_index``'s cached tables.
-_cached_write_back_positions = lru_cache(maxsize=None)(_write_back_positions)
-
-
 def _value_pass(c: np.ndarray, n: int) -> tuple[float, np.ndarray, np.ndarray, float]:
     """``objective`` at the complex point c, with the blocks M, rho = M M^H and
     |c|^2 that ``_gradient_pass`` reuses at the same point."""
     norm_sq = float(np.vdot(c, c).real)
-    if norm_sq == 0.0:
-        raise DegenerateStateError("zero point has no direction")
+    if not _NORM_SQ_RANGE[0] <= norm_sq <= _NORM_SQ_RANGE[1]:
+        if not c.any():
+            raise DegenerateStateError("zero point has no direction")
+        low, high = _NORM_SQ_RANGE
+        raise NormalizationError("point has a non-finite entry" if not np.isfinite(c).all() else
+                                 f"|point|^2 {'under' if norm_sq < low else 'over'}flows the "
+                                 f"minimizer's range {low:.3g}..{high:.3g}; rescale the point")
     m = c[balanced_index(n)]
     rho = gram(m)
     # Mean purity of the raw c over the kernel's subsets only (for even n
@@ -97,11 +107,9 @@ def _gradient_pass(c: np.ndarray, n: int, value: float, m: np.ndarray,
     overwritten. raw(c)/|c|^4 is homogeneous of degree 2 in c and c*, and
     the gradient in the (re, im) pairs is 2 d/dc*.
     """
-    positions = (_cached_write_back_positions if n <= CACHED_INDEX_QUBITS
-                 else _write_back_positions)(n)
     rho_m = rho @ m
     scattered = m.reshape(-1)
-    scattered[positions] = rho_m.ravel()
+    scattered[_write_back_positions(n)] = rho_m.ravel()
     g = scattered.reshape(len(m), -1).sum(axis=0)
     g *= 4.0 / len(m) / norm_sq**2
     g -= (4.0 * value / norm_sq) * c
@@ -132,8 +140,13 @@ class MinimizeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 2 <= self.n_qubits <= MAX_QUBITS:
-            raise ConfigError(f"n_qubits must be in 2..{MAX_QUBITS}, got {self.n_qubits}")
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy ints overflow the seed mask
+        if not 2 <= self.n_qubits <= CACHED_INDEX_QUBITS:
+            raise ConfigError(f"n_qubits must be in 2..{CACHED_INDEX_QUBITS}, got "
+                              f"{self.n_qubits}; {_LARGER_STATES}")
         if self.restarts < 1:
             raise ConfigError("restarts must be positive")
 
@@ -232,23 +245,13 @@ def minimize_potential(config: MinimizeConfig) -> MinimizeResult:
     """
     dim = 1 << (config.n_qubits + 1)
     u_seed = config.seed & 0xFFFFFFFFFFFFFFFF
-    traces: list[list[tuple[int, float]]] = []
-    reasons: list[StopReason] = []
-    evaluations: list[int] = []
-    best: tuple[float, int, np.ndarray] | None = None
-    for r in range(config.restarts):
-        start = np.random.default_rng([u_seed, r]).standard_normal(dim)
-        p, f, trace, reason, evals = _projected_gradient(start)
-        traces.append(trace)
-        reasons.append(reason)
-        evaluations.append(evals)
-        if best is None or f < best[0]:
-            best = (f, r, p)
-    assert best is not None
-    f_best, r_best, p_best = best
-    c, _ = _decode(p_best)
+    runs = [_projected_gradient(np.random.default_rng([u_seed, r]).standard_normal(dim))
+            for r in range(config.restarts)]
+    points, values, traces, reasons, evaluations = map(list, zip(*runs))
+    best = values.index(min(values))
+    c = points[best].view(np.complex128)
     state = PureState(config.n_qubits, c / np.linalg.norm(c))
-    return MinimizeResult(state, f_best, r_best, traces, reasons, evaluations, config.seed)
+    return MinimizeResult(state, values[best], best, traces, reasons, evaluations, config.seed)
 
 
 def export_trace_csv(result: MinimizeResult, path) -> None:

@@ -7,6 +7,7 @@ potential is known, so the verdict is "not_claimed".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import float_info
 from typing import Mapping
 
 import numpy as np
@@ -72,8 +73,10 @@ def analyze(state: PureState, tol: float = DEFAULT_TOL) -> BipartitionReport:
     ``tol`` of zero); other sizes get the verdict ``"not_claimed"`` and a
     note saying so.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ConfigError(f"tolerance must be finite and positive, got {tol}")
+    if isinstance(tol, (np.integer, np.floating)):
+        tol = tol.item()  # compared exactly below, as Python ints and floats are
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol <= float_info.max:
+        raise ConfigError(f"tolerance must be a finite positive float, got {tol!r}")
     purities = all_balanced_purities(state)
     potential = float(np.mean(list(purities.values())))
     n = state.n_qubits

@@ -29,8 +29,7 @@ from .errors import (
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-12
 #: Largest qubit count any input path accepts. At n = 14 a cold ``analyze``
-#: takes 0.4-0.6 s at about 42 MB peak RSS, and every evaluation of the
-#: minimizer expands a stacked gather index of 225 MB.
+#: takes 0.4-0.6 s at about 42 MB peak RSS.
 MAX_QUBITS = 14
 
 #: Primitive cube root of unity. Built from pi so that downstream phase

@@ -71,9 +71,9 @@ existed, which expanded its gather index per chunk.
 The index of a subset is a bit permutation, so index[x, z] splits into
 kept[x] + traced[z]. ``balanced_offsets`` keeps only these two parts,
 C(n, k) (2^k + 2^(n-k)) entries (3.5 MB at n = 14 against 225 MB for the
-table). The expanded table stays cached only up to
-``CACHED_INDEX_QUBITS``, which covers every n of the product route; the
-cover route expands the offsets of its sets per chunk.
+table). ``balanced_index`` expands and caches the table only up to
+``CACHED_INDEX_QUBITS``, the n of the product route; the cover route
+expands the offsets of its sets per chunk.
 The four-qubit closed forms in ``closed_form`` are checked against this
 module, never derived from it.
 """
@@ -128,10 +128,10 @@ class DensityMatrix:
 #: EPYC, OpenBLAS on one thread). A chunk holds at least one subset of one state.
 _CHUNK_ELEMENTS = 1 << 14
 
-#: Largest n whose expanded balanced index stays cached: the table takes
-#: 1 MiB at n = 10, and would take 7.6 MB at n = 11 and 225 MB at n = 14.
-#: Expanding per chunk at n <= 10 instead cost 7-58% more kernel time at
-#: n = 5..10 (2-vCPU Intel Xeon, one BLAS thread).
+#: Largest n of ``balanced_index``, whose table is cached: 1 MiB at n = 10,
+#: where n = 11 would take 7.6 MB and n = 14 225 MB. Expanding per chunk at
+#: n <= 10 instead cost 7-58% more kernel time at n = 5..10 (2-vCPU Intel
+#: Xeon, one BLAS thread). It is also the minimizer's limit.
 CACHED_INDEX_QUBITS = 10
 
 #: Largest block, in amplitudes (2^n), that ``balanced_purities`` sums from
@@ -140,9 +140,10 @@ CACHED_INDEX_QUBITS = 10
 _ENTRY_ROUTE_AMPLITUDES = 16
 
 #: Largest block, in amplitudes (2^n), that ``balanced_purities`` forms by
-#: one batched product rho = M M^H per subset; larger ones take the cover
-#: route. The module docstring gives the measurements behind it.
-_PRODUCT_ROUTE_AMPLITUDES = 1 << 10
+#: one batched product rho = M M^H per subset through ``balanced_index``;
+#: larger ones take the cover route. The module docstring gives the
+#: measurements behind it.
+_PRODUCT_ROUTE_AMPLITUDES = 1 << CACHED_INDEX_QUBITS
 
 #: Entries of each work buffer: one rho_C of the cover route at MAX_QUBITS,
 #: 2^(k+1) x 2^(k+1) for k = 7.
@@ -230,24 +231,16 @@ def _expand(kept: np.ndarray, traced: np.ndarray, out: np.ndarray | None = None)
     return np.add(kept[:, :, None], traced[:, None, :], out=out)
 
 
-def _read_only_index(n: int) -> np.ndarray:
-    """A new expanded ``balanced_index(n)``."""
+@lru_cache(maxsize=None)
+def balanced_index(n: int) -> np.ndarray:
+    """Read-only stacked gather index (S, 2^k, 2^(n-k)) of the subsets of
+    ``balanced_offsets``, cached per n; above ``CACHED_INDEX_QUBITS`` it
+    raises DimensionError before allocating."""
+    if n > CACHED_INDEX_QUBITS:
+        raise DimensionError(f"{n} qubits exceed the index's limit of {CACHED_INDEX_QUBITS}")
     index = _expand(*balanced_offsets(n))
     index.flags.writeable = False
     return index
-
-
-_cached_index = lru_cache(maxsize=None)(_read_only_index)
-
-
-def balanced_index(n: int) -> np.ndarray:
-    """Read-only stacked gather index (S, 2^k, 2^(n-k)) of the subsets of
-    ``balanced_offsets``.
-
-    Up to ``CACHED_INDEX_QUBITS`` it is one cached table; above, each call
-    expands a new one from the offsets, which goes when the caller drops it.
-    """
-    return (_cached_index if n <= CACHED_INDEX_QUBITS else _read_only_index)(n)
 
 
 def gram(m: np.ndarray, conj: np.ndarray | None = None,

@@ -285,11 +285,16 @@ def test_minimize_json_reports_stop_reasons_and_evaluations(capsys):
     ["analyze", "--expr", "|" + "0" * 15 + ">"],
     ["minimize", "--n", "15"],
     ["minimize", "--n", "40"],
+    ["minimize", "--n", "11"],
 ])
 def test_too_many_qubits_exit_two(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("entpot:") and "14" in err and "Traceback" not in err
+    # analyze takes up to qstate.MAX_QUBITS, the minimizer up to its cached index
+    limit = "2..10" if argv[0] == "minimize" else "14"
+    assert err.startswith("entpot:") and limit in err and "Traceback" not in err
+    if argv[0] == "minimize":
+        assert "analyze or pi_me" in err
 
 
 def test_too_many_qubits_json_file_exit_two(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from entpot import mmes_search
-from entpot.errors import ConfigError, DegenerateStateError, DimensionError
+from entpot.errors import ConfigError, DegenerateStateError, DimensionError, NormalizationError
 from entpot.mmes_search import (
     MinimizeConfig,
     encode_state,
@@ -98,15 +99,57 @@ def test_gradient_matches_finite_differences_larger_n(n):
         assert np.linalg.norm(fd - g) / max(np.linalg.norm(fd), 1e-12) < 1e-5
 
 
-def test_gradient_matches_a_directional_difference_above_the_cached_index():
-    # n = 11 is the first n whose gather index is expanded on every call
-    rng = np.random.default_rng(211)
-    point, direction = rng.standard_normal((2, 1 << 12))
-    point /= np.linalg.norm(point)
-    direction /= np.linalg.norm(direction)
-    h = 1e-6
-    fd = (objective(point + h * direction) - objective(point - h * direction)) / (2 * h)
-    assert abs(fd - gradient(point) @ direction) < 1e-6 * abs(fd)
+def test_minimizer_rejects_points_above_the_cached_index_before_allocating():
+    # n = 11 and 14 (2^12 and 2^15 floats): above the cached gather index,
+    # the minimizer's limit; analyze and pi_me still take such states
+    points = [np.random.default_rng(211).standard_normal(1 << 12), np.ones(1 << 15)]
+    tracemalloc.start()
+    try:
+        for point in points:
+            for function in (objective, gradient, value_and_gradient):
+                with pytest.raises(DimensionError, match=r"2\.\.10.*analyze or pi_me"):
+                    function(point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_config_above_the_cached_index_is_rejected_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"2\.\.10, got 11; analyze or pi_me"):
+            MinimizeConfig(n_qubits=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("point, error, message", [
+    (np.full(32, np.nan), NormalizationError, "non-finite"),
+    (np.full(32, np.inf), NormalizationError, "non-finite"),
+    (np.r_[np.inf, np.zeros(31)], NormalizationError, "non-finite"),
+    (np.r_[1e-200, np.zeros(31)], NormalizationError, "underflows"),
+    (np.r_[1e-160, np.zeros(31)], NormalizationError, "underflows"),
+    (np.full(32, 1e200), NormalizationError, "overflows"),
+    (np.full(32, 1e160), NormalizationError, "overflows"),
+    (np.zeros(32), DegenerateStateError, "zero point"),
+], ids=["nan", "inf", "one-inf", "underflow", "fourth-power-underflow", "overflow",
+        "fourth-power-overflow", "zero"])
+def test_points_without_a_float64_value_are_rejected(point, error, message):
+    for function in (objective, gradient, value_and_gradient):
+        with pytest.raises(error, match=message):
+            function(point)
+
+
+@pytest.mark.parametrize("scale", [2.0**-250, 2.0**250])
+def test_objective_and_gradient_hold_at_extreme_scales(scale):
+    rng = np.random.default_rng(223)
+    point = rng.standard_normal(32)
+    value, grad = value_and_gradient(scale * point)
+    assert abs(value - objective(point)) < 1e-14
+    np.testing.assert_allclose(scale * grad, gradient(point), rtol=1e-12, atol=1e-15)
 
 
 def test_gradient_stationary_at_hs():
@@ -178,12 +221,31 @@ def test_config_validation():
         MinimizeConfig(n_qubits=1)
     with pytest.raises(ConfigError):
         MinimizeConfig(n_qubits=4, restarts=0)
-    with pytest.raises(ConfigError, match="2..14"):
+    with pytest.raises(ConfigError, match="2..10"):
         MinimizeConfig(n_qubits=MAX_QUBITS + 1)
     # The stop rules are module constants, not per-call settings.
     assert [f.name for f in dataclasses.fields(MinimizeConfig)] == ["n_qubits", "restarts", "seed"]
     with pytest.raises(TypeError):
         MinimizeConfig(n_qubits=4, max_iters=10)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_qubits", 4.0), ("n_qubits", 4.5), ("n_qubits", "4"), ("n_qubits", True),
+    ("restarts", 2.5), ("restarts", np.float64(2)), ("restarts", True),
+    ("seed", 1.5), ("seed", "0"), ("seed", None), ("seed", np.True_),
+])
+def test_mistyped_config_raises_config_error(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        MinimizeConfig(**{"n_qubits": 4, field: value})
+
+
+def test_numpy_integer_config_matches_python_ints():
+    config = MinimizeConfig(n_qubits=np.int64(3), restarts=np.uint8(2), seed=np.int64(-5))
+    assert config == MinimizeConfig(n_qubits=3, restarts=2, seed=-5)
+    assert all(type(getattr(config, f.name)) is int for f in dataclasses.fields(config))
+    a = minimize_potential(config)
+    b = minimize_potential(MinimizeConfig(n_qubits=3, restarts=2, seed=-5))
+    assert a.best_value == b.best_value and a.traces == b.traces
 
 
 def test_iteration_cap_leaves_restarts_unconverged(monkeypatch):

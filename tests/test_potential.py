@@ -119,6 +119,20 @@ def test_bad_tolerance():
             analyze(catalog_state("hs", "omega"), tol)
 
 
+@pytest.mark.parametrize("tol", ["1e-8", 10**400, None, True, 1j, [1e-8], -1, np.float64(-1e-8)],
+                         ids=["str", "int-above-float", "none", "bool", "complex", "list",
+                              "negative-int", "negative-numpy"])
+def test_mistyped_tolerance_raises_config_error(tol):
+    with pytest.raises(ConfigError, match="tolerance must be a finite positive float"):
+        analyze(catalog_state("hs", "omega"), tol)
+
+
+@pytest.mark.parametrize("tol", [1, np.int64(1), np.float32(1e-3), 1e-8])
+def test_integer_and_numpy_tolerances_are_accepted(tol):
+    report = analyze(catalog_state("hs", "omega"), tol)
+    assert report.verdict == "mmes" and report.tol == tol
+
+
 def test_report_is_dataclass_with_expected_fields():
     report = analyze(catalog_state("hs", "omega"))
     assert isinstance(report, BipartitionReport)

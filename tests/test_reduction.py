@@ -239,7 +239,7 @@ def assert_agree_across_threads(n, repeats):
                 np.testing.assert_array_equal(got, expected)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, reduction.CACHED_INDEX_QUBITS + 1))
 def test_balanced_index_matches_stacked_gather_tables(n):
     subsets = balanced_subsets(n)
     if n % 2 == 0:
@@ -248,6 +248,10 @@ def test_balanced_index_matches_stacked_gather_tables(n):
     index = balanced_index(n)
     assert index.dtype == np.intp and not index.flags.writeable
     np.testing.assert_array_equal(index, expected)
+    assert balanced_index(n) is index
+    # the first n without a table: the cover route expands offsets per chunk
+    with pytest.raises(DimensionError, match="index's limit of 10"):
+        balanced_index(reduction.CACHED_INDEX_QUBITS + 1)
 
 
 def kernel_subsets(n):
@@ -314,7 +318,7 @@ def test_balanced_purities_match_the_transpose_route_on_sampled_subsets_at_14_qu
 def test_index_memory_retained_after_large_n_calls_stays_below_one_mib():
     """No cache keeps a C(n, n/2) 2^n table: only the offsets stay per n."""
     reduction.balanced_offsets.cache_clear()
-    reduction._cached_index.cache_clear()
+    reduction.balanced_index.cache_clear()
     rng = np.random.default_rng(715)
     balanced_purities(np.ones(4), 2)  # this thread's chunk buffers exist already
     tracemalloc.start()
@@ -323,7 +327,8 @@ def test_index_memory_retained_after_large_n_calls_stays_below_one_mib():
         report = analyze(random_state(12, rng))
         assert len(report.purities) == 924
         del report
-        value_and_gradient(rng.standard_normal(1 << 12))
+        with pytest.raises(DimensionError, match=r"2\.\.10"):
+            value_and_gradient(rng.standard_normal(1 << 12))
         gc.collect()  # also empties the tuple free lists, which tracemalloc counts
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -341,7 +346,7 @@ def test_balanced_index_rejects_more_qubits_than_the_cap_before_allocating(monke
     amps = np.zeros((1, 2 ** (MAX_QUBITS + 1)))
     tracemalloc.start()
     try:
-        with pytest.raises(DimensionError, match="limit of 14"):
+        with pytest.raises(DimensionError, match="index's limit of 10"):
             balanced_index(MAX_QUBITS + 1)
         with pytest.raises(DimensionError, match="limit of 14"):
             balanced_offsets(MAX_QUBITS + 1)
