@@ -26,7 +26,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateStateError, DimensionError, NormalizationError
+from .errors import (ConfigError, DegenerateStateError, DimensionError, FormatError,
+                     NormalizationError)
 from .qstate import PureState
 from .reduction import CACHED_INDEX_QUBITS, balanced_index, gram
 
@@ -53,6 +54,10 @@ StopReason = Literal["grad_tol", "step_tol", "ftol", "max_iters"]
 
 def _decode(point: np.ndarray) -> tuple[np.ndarray, int]:
     """Complex view of ``point``: interleaved re/im is complex128's own layout."""
+    point = np.asarray(point)
+    if point.dtype.kind not in "iuf":
+        raise FormatError(f"point must hold real numbers, got dtype {point.dtype}; it is the "
+                          "interleaved real encoding of a state (encode_state)")
     point = np.ascontiguousarray(point, dtype=np.float64)
     n = point.size.bit_length() - 2
     if point.ndim != 1 or point.size & (point.size - 1) or not 2 <= n <= CACHED_INDEX_QUBITS:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     CatalogMissError,
+    ConfigError,
     DegenerateStateError,
     DimensionError,
     FormatError,
@@ -56,7 +57,9 @@ def states_of_width(amps, n: int, error: type[Exception], expected: str,
 
 
 def _check_qubit_count(n_qubits: int) -> None:
-    """Reject a qubit count outside 1..MAX_QUBITS before anything is allocated."""
+    """Reject a non-integer or bool count, or one outside 1..MAX_QUBITS, before allocating."""
+    if isinstance(n_qubits, bool) or not isinstance(n_qubits, (int, np.integer)):
+        raise DimensionError(f"n_qubits must be an integer, got {n_qubits!r}")
     if n_qubits < 1:
         raise DimensionError(f"n_qubits must be >= 1, got {n_qubits}")
     if n_qubits > MAX_QUBITS:
@@ -76,6 +79,8 @@ class PureState:
 
     def __post_init__(self):
         _check_qubit_count(self.n_qubits)
+        # a Python int: json cannot encode a numpy one in analyze's report
+        object.__setattr__(self, "n_qubits", int(self.n_qubits))
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size != 1 << self.n_qubits:
             raise DimensionError(
@@ -109,7 +114,7 @@ def make_state(
     the norm must already be within ``NORM_TOL`` of 1.
     """
     if normalize_policy not in ("strict", "renormalize"):
-        raise ValueError(f"unknown normalize_policy {normalize_policy!r}")
+        raise ConfigError(f"unknown normalize_policy {normalize_policy!r}")
     _check_qubit_count(n_qubits)
     # an ndarray converts in one step; list() would box every amplitude
     if not isinstance(amplitudes, np.ndarray):
@@ -137,6 +142,7 @@ def make_state(
 
 def random_state(n_qubits: int, rng: np.random.Generator) -> PureState:
     """Rotation-invariant random pure state: normal re/im parts, normalized."""
+    _check_qubit_count(n_qubits)
     dim = 1 << n_qubits
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState(n_qubits, z / np.linalg.norm(z))

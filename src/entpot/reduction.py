@@ -69,11 +69,12 @@ times at n >= 11 are those of the product route before the cover route
 existed, which expanded its gather index per chunk.
 
 The index of a subset is a bit permutation, so index[x, z] splits into
-kept[x] + traced[z]. ``balanced_offsets`` keeps only these two parts,
-C(n, k) (2^k + 2^(n-k)) entries (3.5 MB at n = 14 against 225 MB for the
-table). ``balanced_index`` expands and caches the table only up to
-``CACHED_INDEX_QUBITS``, the n of the product route; the cover route
-expands the offsets of its sets per chunk.
+kept[x] + traced[z]. One index cache per n holds what a route reads. Up to
+``CACHED_INDEX_QUBITS``, the n of the first two routes, ``balanced_index``
+expands these offsets into the whole table (1 MiB at n = 10). Above, only
+``_cover_plan`` is kept, with the offsets of its sets and their
+complements, which the cover route expands per chunk: 0.95 MB for the
+whole plan at n = 14, against 225 MB for the table.
 The four-qubit closed forms in ``closed_form`` are checked against this
 module, never derived from it.
 """
@@ -215,17 +216,6 @@ def _offsets(keep: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets
 
 
-@lru_cache(maxsize=None)
-def balanced_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kept and traced offsets, (S, 2^k) and (S, 2^(n-k)), of the kernel's
-    subsets (``_kernel_subsets``).
-
-    ``kept[s, x] + traced[s, z]`` is ``balanced_index(n)[s, x, z]``. Above
-    ``MAX_QUBITS`` it raises before allocating.
-    """
-    return _offsets(np.array(_kernel_subsets(n), dtype=np.intp), n)
-
-
 def _expand(kept: np.ndarray, traced: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The (S, 2^k, 2^(n-k)) gather index of kept and traced offsets."""
     return np.add(kept[:, :, None], traced[:, None, :], out=out)
@@ -233,12 +223,12 @@ def _expand(kept: np.ndarray, traced: np.ndarray, out: np.ndarray | None = None)
 
 @lru_cache(maxsize=None)
 def balanced_index(n: int) -> np.ndarray:
-    """Read-only stacked gather index (S, 2^k, 2^(n-k)) of the subsets of
-    ``balanced_offsets``, cached per n; above ``CACHED_INDEX_QUBITS`` it
-    raises DimensionError before allocating."""
+    """Read-only stacked gather index (S, 2^k, 2^(n-k)) of the kernel's
+    subsets (``_kernel_subsets``), cached per n; above ``CACHED_INDEX_QUBITS``
+    it raises DimensionError before allocating."""
     if n > CACHED_INDEX_QUBITS:
         raise DimensionError(f"{n} qubits exceed the index's limit of {CACHED_INDEX_QUBITS}")
-    index = _expand(*balanced_offsets(n))
+    index = _expand(*_offsets(np.array(_kernel_subsets(n), dtype=np.intp), n))
     index.flags.writeable = False
     return index
 
@@ -254,12 +244,12 @@ def gram(m: np.ndarray, conj: np.ndarray | None = None,
 
 
 def gram_purities(m: np.ndarray, conj: np.ndarray | None = None,
-                  rho: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``gram`` of the blocks M, and Tr rho^2 of each block."""
+                  rho: np.ndarray | None = None) -> np.ndarray:
+    """Tr rho^2 of each block's ``gram`` rho = M M^H."""
     rho = gram(m, conj, rho)
     # a complex rho viewed as its real dtype lists re, im interleaved
     parts = rho.view(rho.real.dtype).reshape(rho.shape[:-2] + (-1,))
-    return rho, np.einsum("...i,...i->...", parts, parts)
+    return np.einsum("...i,...i->...", parts, parts)
 
 
 def _canonical_subset(n: int, keep: Iterable[int]) -> tuple[int, ...]:
@@ -274,9 +264,11 @@ def _canonical_subset(n: int, keep: Iterable[int]) -> tuple[int, ...]:
 
 
 def reduced_density(state: PureState, keep: Iterable[int]) -> DensityMatrix:
-    """Partial trace of |psi><psi| down to the kept qubits."""
+    """Partial trace of |psi><psi| down to the kept qubits, for psi normalized:
+    a PureState's norm may be off 1 by ``NORM_TOL``, so rho is divided by its trace."""
     subset = _canonical_subset(state.n_qubits, keep)
-    return DensityMatrix(subset, gram(state.amplitudes[_gather_index(state.n_qubits, subset)]))
+    rho = gram(state.amplitudes[_gather_index(state.n_qubits, subset)])
+    return DensityMatrix(subset, rho / np.trace(rho).real)
 
 
 def purity(rho: DensityMatrix | np.ndarray) -> float:
@@ -294,7 +286,7 @@ def _states_of(amps: np.ndarray, n: int) -> np.ndarray:
 
 def subset_purity(amplitudes: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray:
     """Batched Tr(rho_A^2) straight from (stacked) amplitude vectors, (..., 2**n)."""
-    return gram_purities(_states_of(amplitudes, n)[..., _gather_index(n, keep)])[1]
+    return gram_purities(_states_of(amplitudes, n)[..., _gather_index(n, keep)])
 
 
 def _chunk_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -480,7 +472,7 @@ def _product_purities(flat: np.ndarray, n: int, out: np.ndarray) -> None:
             shape = (len(rows),) + index.shape
             block = np.take(rows, index, axis=1, mode="clip", out=_view(gather, shape))
             out[b0 : b0 + states, s0 : s0 + subsets] = gram_purities(
-                block, _view(conj, shape), _view(rho, shape[:-1] + shape[-2:-1]))[1]
+                block, _view(conj, shape), _view(rho, shape[:-1] + shape[-2:-1]))
 
 
 class _CoverPlan(NamedTuple):
@@ -616,21 +608,17 @@ def _cover_purities(flat: np.ndarray, n: int, out: np.ndarray) -> None:
     plan = _cover_plan(n)
     k1 = n // 2 + 1
     dim = 1 << k1
-    per_chunk = plan.chunks[0][1]
-    states = max(1, _CHUNK_ELEMENTS // (per_chunk << 2 * k1))
     gather, conj, rho, scratch_index = _chunk_buffers()
     for s0, s1, positions, slots, columns in plan.chunks:
         kept, traced = plan.kept[s0:s1], plan.traced[s0:s1]
         index = _expand(kept, traced, _view(scratch_index, (len(kept), dim, traced.shape[1])))
-        for b0 in range(0, flat.shape[0], states):
-            rows = flat[b0 : b0 + states]
-            shape = (len(rows),) + index.shape
-            m = np.take(rows, index, axis=1, mode="clip", out=_view(gather, shape))
-            r = gram(m, _view(conj, shape), _view(rho, shape[:-1] + (dim,)))
+        # one state's rho_C fill a chunk (2^16 entries at n = 14): a state at a time
+        for row, purities in zip(flat, out):
+            m = np.take(row, index, mode="clip", out=_view(gather, index.shape))
+            r = gram(m, _view(conj, index.shape), _view(rho, index.shape[:-1] + (dim,)))
             # each rho_C with re, im interleaved: (blocks, dim, 2 dim)
-            parts = r.view(np.float64).reshape(-1, dim, 2 * dim)
-            squares = np.square(
-                parts, out=_view(conj, r.shape).view(np.float64).reshape(parts.shape))
+            parts = r.view(np.float64)
+            squares = np.square(parts, out=_view(conj, r.shape).view(np.float64))
             # s_p^T W s_p per position, and ||rho_C||^2 last
             sws = np.einsum("bxj,xj->bj", squares @ plan.signs, plan.signs[::2])
             cross = np.zeros_like(sws)
@@ -643,11 +631,10 @@ def _cover_purities(flat: np.ndarray, n: int, out: np.ndarray) -> None:
                     # the last qubit pairs entries one row and one column
                     # apart, where the float views would run two floats at a
                     # time; as B is Hermitian, <A, B> = Re sum A[x, y] B[y, x]
-                    blocks = r.reshape(-1, dim, dim)
-                    cross[:, p] = np.einsum("bxy,byx->b", blocks[:, 0::2, 0::2],
-                                            blocks[:, 1::2, 1::2]).real
+                    cross[:, p] = np.einsum("bxy,byx->b", r[:, 0::2, 0::2],
+                                            r[:, 1::2, 1::2]).real
             values = 0.5 * (sws + sws[:, k1:]) + 2 * cross
-            out[b0 : b0 + states, columns] = values.reshape(len(rows), -1)[:, slots]
+            purities[columns] = values.ravel()[slots]
 
 
 def balanced_purities(amps: np.ndarray, n: int) -> np.ndarray:

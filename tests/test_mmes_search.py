@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from entpot import mmes_search
-from entpot.errors import ConfigError, DegenerateStateError, DimensionError, NormalizationError
+from entpot.errors import (ConfigError, DegenerateStateError, DimensionError, EntpotError,
+                           FormatError, NormalizationError)
 from entpot.mmes_search import (
     MinimizeConfig,
     encode_state,
@@ -141,6 +142,30 @@ def test_points_without_a_float64_value_are_rejected(point, error, message):
     for function in (objective, gradient, value_and_gradient):
         with pytest.raises(error, match=message):
             function(point)
+
+
+@pytest.mark.parametrize("point", [
+    np.exp(1j * np.arange(32)),
+    np.exp(1j * np.arange(32)).real.astype(complex),  # real values, complex dtype
+    np.ones(32, dtype=bool),
+    ["0.5"] * 32,
+    np.full(32, 0.5, dtype=object),
+], ids=["complex", "complex-dtype", "bool", "str", "object"])
+def test_points_that_are_not_real_numbers_are_rejected(point):
+    for function in (objective, gradient, value_and_gradient):
+        with pytest.raises(FormatError, match=r"real numbers.*encode_state") as info:
+            function(point)
+        assert isinstance(info.value, EntpotError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("point", [np.arange(1, 33), list(range(1, 33)),
+                                   np.arange(1, 33, dtype=np.uint8),
+                                   np.arange(1, 33, dtype=np.float32)],
+                         ids=["int", "list", "uint8", "float32"])
+def test_integer_and_float_points_keep_working(point):
+    expected = np.arange(1, 33, dtype=np.float64)
+    assert objective(point) == objective(expected)
+    np.testing.assert_array_equal(gradient(point), gradient(expected))
 
 
 @pytest.mark.parametrize("scale", [2.0**-250, 2.0**250])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from entpot.errors import (
     CatalogMissError,
+    ConfigError,
     DegenerateStateError,
     DimensionError,
     FormatError,
@@ -14,7 +15,7 @@ from entpot.errors import (
     NormalizationError,
     SubsetError,
 )
-from entpot.potential import pi_me
+from entpot.potential import analyze, pi_me
 from entpot.qstate import (
     CATALOG,
     MAX_QUBITS,
@@ -133,8 +134,34 @@ def test_make_state_strict_norm_violation():
 
 
 def test_make_state_unknown_policy():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="unknown normalize_policy 'sloppy'"):
         make_state(2, [1, 0, 0, 0], "sloppy")
+
+
+BASIS4 = [1] + [0] * 15
+
+
+@pytest.mark.parametrize("build, shown", [
+    (lambda: PureState(4.0, BASIS4), "4.0"),
+    (lambda: make_state(4.0, BASIS4), "4.0"),
+    (lambda: random_state(4.0, np.random.default_rng(0)), "4.0"),
+    (lambda: PureState("4", BASIS4), "'4'"),
+    (lambda: PureState(True, [1, 0]), "True"),
+], ids=["pure-state-float", "make-state-float", "random-state-float", "pure-state-str",
+        "pure-state-bool"])
+def test_mistyped_qubit_count_raises_dimension_error(build, shown):
+    with pytest.raises(DimensionError, match=f"n_qubits must be an integer, got {shown}"):
+        build()
+
+
+def test_numpy_integer_qubit_count_is_stored_as_an_int():
+    for state in (PureState(np.int64(2), [1, 0, 0, 0]),
+                  make_state(np.int32(2), [1, 0, 0, 0]),
+                  random_state(np.uint8(2), np.random.default_rng(0))):
+        assert type(state.n_qubits) is int and state.n_qubits == 2
+    # a numpy n_qubits once reached the report and failed json.dumps
+    report = json.loads(json.dumps(analyze(PureState(np.int64(2), [1, 0, 0, 0])).to_json_dict()))
+    assert report["n"] == 2 and report["pi_me"] == 1.0
 
 
 @given(st.lists(st.floats(-10, 10), min_size=4, max_size=4))

@@ -8,16 +8,17 @@ import pytest
 
 from entpot import reduction
 from entpot.errors import ArityError, DimensionError, SubsetError
+from entpot.ket_parser import eval_ket, format_ket, parse_ket
 from entpot.mmes_search import value_and_gradient
 from entpot.potential import analyze, pi_me_of_amplitudes
-from entpot.qstate import MAX_QUBITS, catalog_state, make_state, random_state
+from entpot.qstate import (MAX_QUBITS, PureState, catalog_names, catalog_state, make_state,
+                           random_state)
 
 from helpers import random_amplitude_batch
 from entpot.reduction import (
     DensityMatrix,
     _gather_index,
     balanced_index,
-    balanced_offsets,
     all_balanced_purities,
     balanced_purities,
     balanced_subsets,
@@ -49,6 +50,33 @@ def test_reduced_density_ghz():
     np.testing.assert_allclose(
         rho.entries, np.diag([0.5, 0, 0, 0.5]).astype(complex), atol=1e-15
     )
+
+
+def assert_reductions_match_the_renormalized_state(state):
+    """Every balanced reduction is a DensityMatrix (trace 1 within 1e-12)
+    with the purity of the renormalized state."""
+    renormalized = PureState(state.n_qubits, state.amplitudes / state.norm())
+    for subset, expected in all_balanced_purities(renormalized).items():
+        rho = reduced_density(state, subset)
+        assert isinstance(rho, DensityMatrix)
+        assert abs(purity(rho) - expected) < 1e-12
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_reduced_density_of_a_12_digit_catalog_round_trip(name):
+    # the text ``entpot states --state NAME`` prints; eq9/uniform and
+    # yc/signs come back with |psi|^2 = 1 - 1.55e-12, a trace no
+    # DensityMatrix takes as it stands
+    text = format_ket(catalog_state(*name.split("/")), precision=12)
+    assert_reductions_match_the_renormalized_state(eval_ket(parse_ket(text)))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_reduced_density_of_12_digit_random_round_trips(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(20):
+        text = format_ket(random_state(n, rng), precision=12)
+        assert_reductions_match_the_renormalized_state(eval_ket(parse_ket(text)))
 
 
 def test_purity_pure_reduction():
@@ -255,32 +283,9 @@ def test_balanced_index_matches_stacked_gather_tables(n):
 
 
 def kernel_subsets(n):
-    """The subsets ``balanced_offsets(n)`` lists, in its row order."""
+    """The subsets whose purities the kernel computes, in its column order."""
     subsets = balanced_subsets(n)
     return subsets[: len(subsets) // 2] if n % 2 == 0 else subsets
-
-
-def sampled_rows(n, count, rng):
-    """Every row of ``balanced_offsets(n)`` up to n = 12, else the first, the
-    last and ``count`` random ones."""
-    rows = len(kernel_subsets(n))
-    if n <= 12:
-        return range(rows)
-    return sorted({0, rows - 1, *rng.choice(rows, size=count, replace=False).tolist()})
-
-
-@pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
-def test_balanced_offsets_expand_to_the_transpose_gather_index(n):
-    kept, traced = balanced_offsets(n)
-    k = n // 2
-    assert kept.shape == (len(kernel_subsets(n)), 1 << k)
-    assert traced.shape == (len(kernel_subsets(n)), 1 << (n - k))
-    assert kept.dtype == traced.dtype == np.intp
-    assert not kept.flags.writeable and not traced.flags.writeable
-    subsets = kernel_subsets(n)
-    for s in sampled_rows(n, 40, np.random.default_rng(700 + n)):
-        expanded = kept[s][:, None] + traced[s][None, :]
-        np.testing.assert_array_equal(expanded, _gather_index(n, subsets[s]))
 
 
 def transpose_route_purities(amps, n, subsets):
@@ -316,8 +321,8 @@ def test_balanced_purities_match_the_transpose_route_on_sampled_subsets_at_14_qu
 
 
 def test_index_memory_retained_after_large_n_calls_stays_below_one_mib():
-    """No cache keeps a C(n, n/2) 2^n table: only the offsets stay per n."""
-    reduction.balanced_offsets.cache_clear()
+    """No cache keeps a C(n, n/2) 2^n table: above 10 qubits only the cover plan stays per n."""
+    reduction._cover_plan.cache_clear()
     reduction.balanced_index.cache_clear()
     rng = np.random.default_rng(715)
     balanced_purities(np.ones(4), 2)  # this thread's chunk buffers exist already
@@ -340,7 +345,7 @@ def test_index_memory_retained_after_large_n_calls_stays_below_one_mib():
 
 def test_balanced_index_rejects_more_qubits_than_the_cap_before_allocating(monkeypatch):
     def table_build_reached(n):
-        raise AssertionError(f"balanced_offsets({n}) went on to build its offsets")
+        raise AssertionError(f"n = {n} went on to list its subsets")
 
     monkeypatch.setattr(reduction, "balanced_subsets", table_build_reached)
     amps = np.zeros((1, 2 ** (MAX_QUBITS + 1)))
@@ -349,7 +354,7 @@ def test_balanced_index_rejects_more_qubits_than_the_cap_before_allocating(monke
         with pytest.raises(DimensionError, match="index's limit of 10"):
             balanced_index(MAX_QUBITS + 1)
         with pytest.raises(DimensionError, match="limit of 14"):
-            balanced_offsets(MAX_QUBITS + 1)
+            reduction._cover_plan(MAX_QUBITS + 1)
         with pytest.raises(DimensionError, match="limit of 14"):
             pi_me_of_amplitudes(amps, MAX_QUBITS + 1)  # rejected before any conversion
         peak = tracemalloc.get_traced_memory()[1]
@@ -612,6 +617,19 @@ def test_cover_plan_serves_every_kernel_subset_once(n):
     rebuilt = reduction._cover_plan(n)
     for name in ("sets", "columns", "kept", "traced", "signs"):
         np.testing.assert_array_equal(getattr(rebuilt, name), getattr(plan, name))
+
+
+@pytest.mark.parametrize("n", COVER_NS)
+def test_cover_plan_offsets_expand_to_the_transpose_gather_index(n):
+    plan = reduction._cover_plan(n)
+    k1 = n // 2 + 1
+    assert plan.kept.shape == (len(plan.sets), 1 << k1)
+    assert plan.traced.shape == (len(plan.sets), 1 << (n - k1))
+    assert plan.kept.dtype == plan.traced.dtype == np.intp
+    assert not plan.kept.flags.writeable and not plan.traced.flags.writeable
+    for qubits, kept, traced in zip(plan.sets.tolist(), plan.kept, plan.traced):
+        np.testing.assert_array_equal(kept[:, None] + traced[None, :],
+                                      _gather_index(n, tuple(qubits)))
 
 
 @pytest.mark.parametrize("n", range(4, 11))
