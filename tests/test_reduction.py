@@ -288,6 +288,21 @@ def kernel_subsets(n):
     return subsets[: len(subsets) // 2] if n % 2 == 0 else subsets
 
 
+@pytest.mark.parametrize("n", range(2, reduction.CACHED_INDEX_QUBITS + 1))
+def test_balanced_offsets_expand_to_the_transpose_gather_index(n):
+    """The kept and traced offsets ``balanced_index`` expands into its table."""
+    subsets = kernel_subsets(n)
+    kept, traced = reduction._offsets(np.array(subsets, dtype=np.intp), n)
+    k = n // 2
+    assert kept.shape == (len(subsets), 1 << k)
+    assert traced.shape == (len(subsets), 1 << (n - k))
+    assert kept.dtype == traced.dtype == np.intp
+    assert not kept.flags.writeable and not traced.flags.writeable
+    for s, subset in enumerate(subsets):
+        expanded = kept[s][:, None] + traced[s][None, :]
+        np.testing.assert_array_equal(expanded, _gather_index(n, subset))
+
+
 def transpose_route_purities(amps, n, subsets):
     """Tr rho_A^2 per subset from one qubit axis per bit, kept axes moved to
     the front: no index table involved."""
