@@ -253,7 +253,12 @@ def gram_purities(m: np.ndarray, conj: np.ndarray | None = None,
 
 
 def _canonical_subset(n: int, keep: Iterable[int]) -> tuple[int, ...]:
-    subset = tuple(sorted(set(int(q) for q in keep)))
+    qubits = list(keep)
+    for q in qubits:
+        # int() would truncate 1.9 to qubit 1 and parse "2" as qubit 2
+        if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+            raise SubsetError(f"kept qubits must be integers, got {q!r}")
+    subset = tuple(sorted(set(int(q) for q in qubits)))
     if not subset:
         raise SubsetError("keep set must be non-empty")
     if subset[0] < 1 or subset[-1] > n:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from entpot.mmes_search import (
 )
 from entpot.potential import pi_me
 from entpot.qstate import MAX_QUBITS, catalog_state, random_state
+from entpot.reduction import balanced_index
 
 
 def finite_difference(point, h=1e-5):
@@ -158,6 +160,14 @@ def test_points_that_are_not_real_numbers_are_rejected(point):
         assert isinstance(info.value, EntpotError) and isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("point", [[[1.0] * 16, [1.0] * 15], [1.0] * 15 + [[1.0, 2.0]]],
+                         ids=["ragged-rows", "nested-entry"])
+def test_ragged_points_raise_dimension_error(point):
+    for function in (objective, gradient, value_and_gradient):
+        with pytest.raises(DimensionError, match="flat sequence of 2"):
+            function(point)
+
+
 @pytest.mark.parametrize("point", [np.arange(1, 33), list(range(1, 33)),
                                    np.arange(1, 33, dtype=np.uint8),
                                    np.arange(1, 33, dtype=np.float32)],
@@ -295,10 +305,54 @@ def test_trace_csv_export(tmp_path):
 
 def test_descent_from_hs_stops_on_grad_tol():
     point = encode_state(catalog_state("hs", "omega"))
-    _, value, trace, reason, evaluations = mmes_search._projected_gradient(point)
+    _, (restart,) = mmes_search._descend(point[None])
+    value, trace, reason, evaluations = (restart.value, restart.trace, restart.reason,
+                                         restart.evaluations)
     assert reason == "grad_tol"
     assert evaluations == 1 and trace == [(0, value)]
     assert abs(value - 1 / 3) < 1e-15
+
+
+@pytest.mark.parametrize("n, restarts, checked", [
+    (2, 6, range(6)), (3, 6, range(6)), (4, 6, range(6)), (5, 6, range(6)),
+    # one pass holds 25 points at n = 6, so restart 25 runs in a second pass
+    (6, 26, (0, 1, 24, 25)),
+])
+def test_scheduling_cannot_change_a_restart(n, restarts, checked):
+    full = minimize_potential(MinimizeConfig(n_qubits=n, restarts=restarts, seed=11))
+    # its restarts stop on different rounds
+    assert len(set(full.evaluations)) > 1
+    if n == 6:
+        assert len(mmes_search._work(n, restarts).points) < restarts
+    for r in checked:
+        alone = minimize_potential(MinimizeConfig(n_qubits=n, restarts=r + 1, seed=11))
+        assert alone.traces[r] == full.traces[r]
+        assert alone.stop_reasons[r] == full.stop_reasons[r]
+        assert alone.evaluations[r] == full.evaluations[r]
+
+
+def test_threads_share_no_work_buffer():
+    configs = [MinimizeConfig(n_qubits=n, restarts=r, seed=3) for n, r in
+               ((4, 20), (6, 4), (8, 1), (5, 7), (4, 3), (6, 26))]
+    alone = [minimize_potential(config) for config in configs]
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        together = list(pool.map(minimize_potential, configs))
+    for a, b in zip(alone, together):
+        assert a.traces == b.traces and a.evaluations == b.evaluations
+        np.testing.assert_array_equal(a.best_state.amplitudes, b.best_state.amplitudes)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_spread_inverts_the_gather(n):
+    gather, spread = mmes_search._tables(n)
+    np.testing.assert_array_equal(gather, balanced_index(n))
+    subsets, dim = len(gather), 1 << n
+    # entry i of row s of the spread is the place, among the S blocks of a
+    # point, of amplitude i in block s
+    assert spread.shape == (subsets, dim)
+    rows, columns = np.indices((subsets, dim))
+    np.testing.assert_array_equal(spread >> n, rows)
+    np.testing.assert_array_equal(gather.ravel()[spread], columns)
 
 
 def test_stop_reasons_and_evaluations_per_restart():

@@ -175,6 +175,25 @@ def test_subset_validation():
         reduced_density(state, (3,))
 
 
+@pytest.mark.parametrize("keep", [[1.9], [1.0], ["2"], "2", [True], [np.float64(1.0)], [np.True_],
+                                  [1, 2.0]],
+                         ids=["float", "whole-float", "str", "str-keep", "bool", "np-float", "np-bool",
+                              "mixed"])
+def test_mistyped_kept_qubits_raise_subset_error(keep):
+    state = catalog_state("yc", "signs")
+    with pytest.raises(SubsetError, match="kept qubits must be integers"):
+        reduced_density(state, keep)
+
+
+def test_numpy_integer_kept_qubits_match_python_ints():
+    state = catalog_state("yc", "signs")
+    expected = reduced_density(state, (1, 3))
+    for keep in ([np.int64(1), np.int64(3)], (np.uint8(3), 1), np.array([1, 3])):
+        rho = reduced_density(state, keep)
+        assert rho.kept_qubits == (1, 3) and all(type(q) is int for q in rho.kept_qubits)
+        np.testing.assert_array_equal(rho.entries, expected.entries)
+
+
 def test_density_matrix_rejects_non_hermitian():
     bad = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
     with pytest.raises(SubsetError):
