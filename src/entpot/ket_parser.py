@@ -246,6 +246,8 @@ class _Parser:
 
 def parse_ket(text: str) -> KetAst:
     """Parse a ket expression; raises span-carrying errors, never crashes."""
+    if not isinstance(text, str):
+        raise KetSyntaxError(f"expected ket text, got {type(text).__name__}", (0, 0))
     if not text.strip():
         raise KetSyntaxError("empty expression", (0, len(text)))
     parser = _Parser(_lex(text))

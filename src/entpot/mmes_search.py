@@ -13,20 +13,16 @@ rho M and gathers it back to basis order through the spread, the inverse
 of the gather table. ``objective``, ``value_and_gradient`` and
 ``gradient`` are passes over one point.
 
-``minimize_potential`` advances all restarts of a job together, in
-rounds. A round gives the trial points of the live restarts one stacked
-value pass, applies each restart's own Armijo test, gives the accepted
-ones one stacked gradient pass, and drops the restarts that stopped. A
-pass takes as many points as fit the kernel's ``_CHUNK_ELEMENTS``
-gathered amplitudes: 341 at n = 4, 25 at n = 6 and 1 from n = 8. A round
-with more live restarts runs them in such chunks, each chunk's gradient
-pass before the next chunk's value pass. The passes work in buffers made
-once per thread, so their memory does not grow with the restarts, and
-each restart's step, value, g.g, iteration and evaluation count are Python
-numbers. Every product, sum and dot of a row has the bits it has for that
-row alone, so a restart's result depends only on (seed, restart index),
-never on the restarts that share its rounds: the results are those of one
-restart at a time.
+``minimize_potential`` descends along memoryless BFGS directions (L-BFGS
+with memory 1: Shanno, Math. Oper. Res. 3, 244 (1978); Nocedal, Math.
+Comp. 35, 773 (1980)), all restarts of a job in lockstep rounds. A round
+gives the live restarts' trial points one stacked value pass, and the
+accepted ones one stacked gradient pass and their next directions. A pass
+takes as many points as fit the kernel's ``_CHUNK_ELEMENTS`` gathered
+amplitudes (341 at n = 4, 25 at n = 6, 1 from n = 8), in buffers made once
+per thread. Every product, sum and dot of a row has the bits it has for
+that row alone, so a restart's result depends only on (seed, restart
+index), never on the restarts that share its rounds.
 
 It takes n = 2..``CACHED_INDEX_QUBITS`` (10), where every gather table is
 cached; larger n are rejected before allocating, since each pass holds all
@@ -48,8 +44,9 @@ from .errors import (ConfigError, DegenerateStateError, DimensionError, FormatEr
 from .qstate import PureState
 from .reduction import _CHUNK_ELEMENTS, CACHED_INDEX_QUBITS, balanced_index, gram
 
-#: Armijo sufficient-decrease constant, step shrink factor, and the first
-#: step of a backtrack that has no Barzilai-Borwein step to start from.
+#: Armijo sufficient-decrease constant, step shrink factor, and the step
+#: every backtrack starts at: the quasi-Newton step, since the direction
+#: carries its own scale (``_directions``).
 ARMIJO = 1e-4
 SHRINK = 0.5
 INITIAL_STEP = 1.0
@@ -131,15 +128,15 @@ class _Work(NamedTuple):
     #: (rows, S, 2^k, 2^k), and its floats per point
     rho: np.ndarray
     rho_floats: np.ndarray
-    #: (rows, N) gradients, and as floats (rows, 2N)
+    #: (rows, 3, 2N) rows s = q - p, y = g_q - g and g_q of each accepted
+    #: move, and its gradient g_q as complex (rows, N) and floats (rows, 2N)
+    moves: np.ndarray
     gradients: np.ndarray
     gradient_floats: np.ndarray
-    #: (rows, 2N) s = q - p and y = g_q - g of each accepted move
-    s: np.ndarray
-    y: np.ndarray
-    #: (rows, 1, 1) |c|^2 of each point, and a dot product per point
-    norm_sq: np.ndarray
+    #: (rows, 1, 1) a dot product per point, and (rows, 2, 3) the dots of
+    #: its y and g_q with its s, y and g_q
     dots: np.ndarray
+    products: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -162,13 +159,9 @@ def _work(n: int, count: int) -> _Work:
     over as many as fit ``_CHUNK_ELEMENTS`` gathered amplitudes if fewer.
 
     Every n carves its views from the same per-thread buffers, one per kind
-    of array. The views of an n grow to the most points asked for, and each
-    buffer to the largest of its kind, and both are kept: a thread's memory
-    follows its largest pass, not every n or restart count it ran, and no
-    pass allocates an array of points or blocks. Freed heap space can
-    serve separate buffers: after the oracle had run, the first one-point
-    pass at n = 8 added 0.24 MB of resident memory with them, and 0.42 MB
-    with one buffer for all kinds.
+    of array (freed heap space serves them better than one buffer for all).
+    The views of an n grow to the most points asked for, and each buffer to
+    the largest of its kind: a thread's memory follows its largest pass.
     """
     views = getattr(_scratch, "views", {})
     if n not in views or len(views[n].points) < count:
@@ -176,22 +169,23 @@ def _work(n: int, count: int) -> _Work:
         subsets, dim = gather.shape[:2]
         rows = min(count, max(1, _CHUNK_ELEMENTS // spread.size))
         # complex entries per point of points, conjugates, blocks,
-        # conj_blocks, rho, gradients, s, y, |c|^2 and a dot product
-        sizes = [1 << n] * 2 + [spread.size] * 2 + [subsets * dim * dim] + [1 << n] * 3 + [1, 1]
+        # conj_blocks, rho, moves, and a dot product or six
+        sizes = [1 << n] * 2 + [spread.size] * 2 + [subsets * dim * dim, 3 << n, 3]
         buffers = getattr(_scratch, "buffers", [np.empty(0, np.complex128)] * len(sizes))
         if any(len(b) < rows * size for b, size in zip(buffers, sizes)):
             _scratch.buffers = [b if len(b) >= rows * size else np.empty(rows * size, b.dtype)
                                 for b, size in zip(buffers, sizes)]
             _scratch.views = views = {}
-        (points, conjugates, blocks, conj_blocks, rho, gradients, s, y, norm_sq,
+        (points, conjugates, blocks, conj_blocks, rho, moves,
          dots) = (b[: rows * size].reshape(rows, -1) for b, size in zip(_scratch.buffers, sizes))
+        # s, y and g_q each contiguous, as the rows of a (3, rows, 2N) array
+        moves, dots = moves.view(np.float64).reshape(3, rows, -1), dots.view(np.float64)
         views[n] = _Work(gather, spread, points.view(np.float64), points, conjugates,
                          blocks.reshape((rows,) + gather.shape), blocks.reshape(rows, subsets, -1),
                          conj_blocks.reshape((rows,) + gather.shape), conj_blocks,
-                         rho.reshape(rows, subsets, dim, dim),
-                         rho.view(np.float64), gradients, gradients.view(np.float64),
-                         s.view(np.float64), y.view(np.float64), norm_sq.reshape(rows, 1, 1),
-                         dots.view(np.float64)[:, :1].reshape(rows, 1, 1))
+                         rho.reshape(rows, subsets, dim, dim), rho.view(np.float64),
+                         moves.transpose(1, 0, 2), moves[2].view(np.complex128), moves[2],
+                         dots[:, :1].reshape(rows, 1, 1), dots.reshape(rows, 2, 3))
     return views[n]
 
 
@@ -200,14 +194,10 @@ def _rows(work: _Work, rows: slice) -> _Work:
     return _Work(work.gather, work.spread, *(a[rows] for a in work[2:]))
 
 
-# Row dots: a stacked (rows, 1, L) @ (rows, L, 1) matmul gives each row the
-# bits of its 1-D BLAS dot (einsum and summed products do not). From n = 7
-# a pass holds one to three points and the stacked call costs about twice
-# the 1-D one, so one row takes the 1-D form.
-
 def _dots(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list[float]:
-    """a[r] . b[r] of each real row as Python numbers, bitwise the one-row
-    ``a[r] @ b[r]``, through ``out`` (rows, 1, 1)."""
+    """a[r] . b[r] of each real row as Python numbers, through ``out``
+    (rows, 1, 1): a stacked (rows, 1, L) @ (rows, L, 1) matmul gives each row
+    the bits of its 1-D BLAS dot, which one row takes at half the cost."""
     if len(a) == 1:
         return [float(a.ravel().dot(b.ravel()))]
     return np.matmul(a[:, None], b[:, :, None], out).ravel().tolist()
@@ -230,14 +220,7 @@ def _by_row(factors: list[float]) -> float | np.ndarray:
 def _value_pass(w: _Work) -> tuple[list[float], list[float]]:
     """``objective`` and |c|^2 of each of the points c of ``w``, where it
     leaves their blocks M and rho = M M^H for ``_gradient_pass``."""
-    c = w.complex_points
-    if len(c) == 1:
-        norms = [float(np.vdot(c, c).real)]
-    else:
-        # conj(c) . c has the bits of np.vdot(c, c): BLAS forms both from
-        # the same products of real and imaginary parts
-        norms = np.matmul(np.conjugate(c, w.conjugates)[:, None], c[:, :, None],
-                          w.norm_sq).real.ravel().tolist()
+    c, norms = w.complex_points, _dots(w.points, w.points, w.dots)
     gram(c.take(w.gather, axis=1, out=w.blocks, mode="clip"), w.conj_blocks, w.rho)
     # Mean purity of the raw c over the kernel's subsets only (for even n
     # they leave out the complements, whose purities are the same): the
@@ -262,9 +245,8 @@ def _gradient_pass(w: _Work, values: list[float], norms: list[float]) -> np.ndar
                       out=w.gradients)
     subsets = len(w.spread)
     g *= _by_row([4.0 / subsets / norm_sq**2 for norm_sq in norms])
-    g -= np.multiply(w.complex_points, _by_row([4.0 * value / norm_sq
-                                                for value, norm_sq in zip(values, norms)]),
-                     w.conjugates)
+    radial = _by_row([4.0 * value / norm_sq for value, norm_sq in zip(values, norms)])
+    g -= np.multiply(w.complex_points, radial, w.conjugates)
     return w.gradient_floats
 
 
@@ -316,10 +298,11 @@ class MinimizeResult:
     """Best state found plus per-restart traces, stop reasons and value passes.
 
     ``stop_reasons[r]`` says why restart r stopped: ``grad_tol`` (gradient
-    norm below ``GRAD_TOL``), ``step_tol`` (no step down to ``STEP_TOL``
-    passed the Armijo test), ``ftol`` (accepted decrease below
-    ``OBJECTIVE_TOL``) or ``max_iters``. ``evaluations[r]`` counts its value
-    passes, one per trial point; the gradient pass runs once per accepted one.
+    norm below ``GRAD_TOL``), ``step_tol`` (a backtrack shrank the step
+    below ``STEP_TOL`` with no trial point passing the Armijo test), ``ftol``
+    (accepted decrease below ``OBJECTIVE_TOL``) or ``max_iters``.
+    ``evaluations[r]`` counts its value passes, one per trial point; the
+    gradient pass runs once per accepted one.
     """
 
     best_state: PureState
@@ -343,64 +326,86 @@ class MinimizeResult:
 class _Restart:
     """The scalars of one restart's descent, kept as Python numbers."""
 
-    __slots__ = ("index", "value", "g_sq", "step", "iteration", "evaluations", "trace",
-                 "reason")
+    __slots__ = ("index", "value", "slope", "step", "iteration", "evaluations", "trace", "reason")
 
     def __init__(self, index: int):
         # the start is the first trial point, taken whatever its value
-        self.index, self.value, self.g_sq, self.step = index, float("inf"), 0.0, INITIAL_STEP
+        self.index, self.value, self.slope, self.step = index, float("inf"), 0.0, INITIAL_STEP
         self.iteration, self.evaluations, self.trace = 0, 0, []
         self.reason: StopReason | None = None
 
 
+def _directions(moves: np.ndarray, fresh: list[bool], products: np.ndarray,
+                out: np.ndarray) -> tuple[list[float], list[float]]:
+    """Memoryless BFGS directions d = -H g into ``out`` (rows, L) from the
+    rows [s; y; g] of ``moves`` (rows, 3, L); returns each slope g.d and g.g.
+
+    H is the BFGS update of gamma I, gamma = s.y / y.y, by the pair (s, y):
+    d = (y.g / y.y - 2 s.g / s.y) s + (s.g / y.y) y - gamma g, or -g where
+    ``fresh`` (s and y are no move), s.y <= 0 or g.d >= 0. Two stacked
+    products, the rows y and g of the Gram of [s; y; g] (``products``) and
+    then d, give every row the bits it has alone.
+    """
+    entries = np.matmul(moves[:, 1:], moves.transpose(0, 2, 1), products).tolist()
+    coefficients, slopes, g_sqs = [], [], []
+    for ((sy, yy, yg), (sg, _, gg)), first in zip(entries, fresh):
+        c = (0.0, 0.0, -1.0)
+        if sy > 0 and not first:
+            bfgs = (yg / yy - 2.0 * sg / sy, sg / yy, -sy / yy)
+            if bfgs[0] * sg + bfgs[1] * yg + bfgs[2] * gg < 0:
+                c = bfgs
+        coefficients += c
+        slopes.append(c[0] * sg + c[1] * yg + c[2] * gg)
+        g_sqs.append(gg)
+    np.matmul(np.array(coefficients).reshape(-1, 1, 3), moves, out[:, None])
+    return slopes, g_sqs
+
+
 def _descend(starts: np.ndarray) -> tuple[np.ndarray, list[_Restart]]:
-    """Descent with backtracking line search from every row of ``starts``
+    """Descent along ``_directions`` from every row of ``starts``
     (R, 2^(n+1)), all restarts in lockstep; renormalize after every step.
 
-    Each restart's backtrack starts at the Barzilai-Borwein step s.s / s.y
-    of its last accepted move (s = q - p, y = g_q - g), and at
-    ``INITIAL_STEP`` on the first iteration or when s.y <= 0 gives no
-    positive curvature estimate. A round tries one point per live restart:
-    every trial point gets a value pass, and only the accepted ones a
-    gradient pass. Returns the final points and each restart's scalars,
-    trace and stop reason.
+    Each backtrack starts at ``INITIAL_STEP`` and takes the trial point
+    q = p + step d by the Armijo test with slope g.d. A round tries one point
+    per live restart, in chunks of a pass (``_round``). Returns the final
+    points and each restart's scalars, trace and stop reason.
     """
     work = _work(starts.shape[1].bit_length() - 2, len(starts))
     rows = len(work.points)
     # the views for a pass over the first k rows, made once per job and k
     prefix = lru_cache(maxsize=None)(lambda k: _rows(work, slice(k)))
-    # a zero gradient makes the normalized start the first trial point
-    p, g, finals = starts.copy(), np.zeros_like(starts), np.empty_like(starts)
+    # a zero direction makes the normalized start the first trial point
+    p, finals = starts.copy(), np.empty_like(starts)
+    g, d = np.zeros_like(starts), np.zeros_like(starts)
     live = restarts = [_Restart(r) for r in range(len(starts))]
     while live:
         # the passes of every round until a restart stops
-        passes = [(live[a : a + rows], p[a : a + rows], g[a : a + rows])
+        passes = [(live[a : a + rows], p[a : a + rows], g[a : a + rows], d[a : a + rows])
                   for a in range(0, len(live), rows)]
         while not any([_round(work, prefix, *chunk) for chunk in passes]):
             pass
-        for i, r in enumerate(live):
-            if r.reason:
-                finals[r.index] = p[i]
+        done = [i for i, r in enumerate(live) if r.reason]
+        finals[[live[i].index for i in done]] = p[done]
         kept = [i for i, r in enumerate(live) if r.reason is None]
-        live, p, g = [live[i] for i in kept], p[kept], g[kept]
+        live, p, g, d = [live[i] for i in kept], p[kept], g[kept], d[kept]
     return finals, restarts
 
 
 def _round(work: _Work, prefix: Callable[[int], _Work], live: list[_Restart], p: np.ndarray,
-           g: np.ndarray) -> bool:
+           g: np.ndarray, d: np.ndarray) -> bool:
     """One trial point for each of the live restarts of one pass, at the
-    points p with gradients g, which it updates for the accepted ones;
-    ``prefix(k)`` gives the views of ``work`` for its first k rows. Returns
-    whether a restart stopped."""
+    points p with gradients g and directions d, which it updates for the
+    accepted ones; ``prefix(k)`` gives the views of ``work`` for its first k
+    rows. Returns whether a restart stopped."""
     w = prefix(len(live))
-    q = np.multiply(g, _by_row([r.step for r in live]), w.points)
-    np.subtract(p, q, q)
+    q = np.multiply(d, _by_row([r.step for r in live]), w.points)
+    np.add(p, q, q)
     _normalize(q, q, w.dots)
     values, norms = _value_pass(w)
     accepted, stopped = [], False
     for j, (r, value) in enumerate(zip(live, values)):
         r.evaluations += 1
-        if value <= r.value - ARMIJO * r.step * r.g_sq:
+        if value <= r.value + ARMIJO * r.step * r.slope:
             accepted.append(j)
         else:
             r.step *= SHRINK
@@ -409,40 +414,39 @@ def _round(work: _Work, prefix: Callable[[int], _Work], live: list[_Restart], p:
     if not accepted:
         return stopped
     k = len(accepted)
-    if k < len(live):
-        values, norms = [values[j] for j in accepted], [norms[j] for j in accepted]
-        if accepted[-1] - accepted[0] + 1 == k:
-            # one run of rows: the gradient pass reads them in place
-            rows = slice(accepted[0], accepted[0] + k)
-            w = _rows(work, rows)
-        else:
-            # numpy copies overlapping input first, so each take packs the rows
-            rows = accepted
-            for a in (w.blocks, w.rho, w.complex_points):
-                a.take(rows, axis=0, out=a[:k], mode="clip")
-            w = prefix(k)
+    values, norms = [values[j] for j in accepted], [norms[j] for j in accepted]
+    if accepted[-1] - accepted[0] + 1 == k:
+        # one run of rows: the gradient pass reads them in place
+        rows = slice(accepted[0], accepted[0] + k)
+        w = prefix(k) if rows.start == 0 else _rows(work, rows)
     else:
-        rows = slice(k)
+        # numpy copies overlapping input first, so each take packs the rows
+        rows = accepted
+        for a in (w.blocks, w.rho, w.complex_points):
+            a.take(rows, axis=0, out=a[:k], mode="clip")
+        w = prefix(k)
     gq, q = _gradient_pass(w, values, norms), w.points
-    s, y = np.subtract(q, p[rows], w.s), np.subtract(gq, g[rows], w.y)
+    np.subtract(q, p[rows], w.moves[:, 0])
+    np.subtract(gq, g[rows], w.moves[:, 1])
     p[rows], g[rows] = q, gq
-    moves = zip(accepted, values, _dots(s, y, w.dots), _dots(s, s, w.dots),
-                _dots(gq, gq, w.dots))
-    for j, value, sy, ss, g_sq in moves:
+    fresh = [live[j].iteration == 0 for j in accepted]
+    # a run of rows takes its directions in place, and q, kept in p, the others'
+    out = d[rows] if type(rows) is slice else q
+    slopes, g_sqs = _directions(w.moves, fresh, w.products, out)
+    if out is q:
+        d[rows] = q
+    for j, value, slope, g_sq in zip(accepted, values, slopes, g_sqs):
         r = live[j]
         improvement = r.value - value
-        r.value, r.g_sq = value, g_sq
+        r.value, r.slope, r.step = value, slope, INITIAL_STEP
         r.trace.append((r.iteration, value))
         r.iteration += 1
-        r.step = ss / sy if sy > 0 and r.iteration > 1 else INITIAL_STEP
         if improvement < OBJECTIVE_TOL:
             r.reason = "ftol"
         elif r.iteration > MAX_ITERS:
             r.reason = "max_iters"
         elif sqrt(g_sq) < GRAD_TOL:
             r.reason = "grad_tol"
-        elif r.step < STEP_TOL:
-            r.reason = "step_tol"
         stopped = stopped or r.reason is not None
     return stopped
 
@@ -451,13 +455,9 @@ def minimize_potential(config: MinimizeConfig) -> MinimizeResult:
     """Multi-start minimization; deterministic given (config, seed).
 
     Each restart draws its starting point from its own stream seeded by
-    (seed, restart index). The restarts advance together, in rounds of one
-    stacked value pass and one stacked gradient pass per chunk of live
-    restarts, a chunk holding as many points as fit ``_CHUNK_ELEMENTS``
-    gathered amplitudes (341 at n = 4, 25 at n = 6, 1 from n = 8). No row's
-    arithmetic depends on the rows that share its pass, so a restart's
-    result depends on (seed, restart index) alone, bit for bit. The best
-    restart is chosen by (value, index) lexicographic order.
+    (seed, restart index), and its result depends on those alone, bit for
+    bit: restarts share rounds, not arithmetic. The best restart is chosen
+    by (value, index) lexicographic order.
     """
     dim = 1 << (config.n_qubits + 1)
     u_seed = config.seed & 0xFFFFFFFFFFFFFFFF

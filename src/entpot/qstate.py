@@ -151,12 +151,21 @@ def random_state(n_qubits: int, rng: np.random.Generator) -> PureState:
 def apply_local_unitary(state: PureState, qubit: int, u: np.ndarray) -> PureState:
     """Apply a 2x2 unitary to one qubit (1-based, qubit 1 = most significant bit)."""
     n = state.n_qubits
+    if isinstance(qubit, bool) or not isinstance(qubit, (int, np.integer)):
+        raise SubsetError(f"qubit must be an integer, got {qubit!r}")
     if not 1 <= qubit <= n:
         raise SubsetError(f"qubit {qubit} out of range 1..{n}")
-    u = np.asarray(u, dtype=np.complex128)
+    try:
+        u = np.asarray(u)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise NonUnitaryError(f"expected a 2x2 matrix of numbers: {exc}") from None
+    # complex() would parse "1" and read None as nan
+    if u.dtype.kind not in "iufc":
+        raise NonUnitaryError(f"expected a 2x2 matrix of numbers, got dtype {u.dtype}")
+    u = u.astype(np.complex128)
     if u.shape != (2, 2):
         raise NonUnitaryError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > UNITARY_TOL:
+    if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= UNITARY_TOL:  # nan fails too
         raise NonUnitaryError("matrix is not unitary within 1e-12")
     a = state.amplitudes.reshape(1 << (qubit - 1), 2, -1)
     out = np.einsum("ab,ibj->iaj", u, a).reshape(-1)

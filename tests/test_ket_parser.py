@@ -177,6 +177,13 @@ def test_syntax_errors(text):
         parse_ket(text)
 
 
+@pytest.mark.parametrize("text", [5, None, b"|0>", ["|0>"]], ids=["int", "none", "bytes", "list"])
+def test_text_that_is_not_a_str_is_a_syntax_error(text):
+    with pytest.raises(KetSyntaxError, match="expected ket text") as err:
+        parse_ket(text)
+    assert err.value.span == (0, 0)
+
+
 def _assert_syntax_error(text, message, span):
     with pytest.raises(KetSyntaxError) as err:
         parse_ket(text)

@@ -342,6 +342,56 @@ def test_threads_share_no_work_buffer():
         np.testing.assert_array_equal(a.best_state.amplitudes, b.best_state.amplitudes)
 
 
+def direction(s, y, g, fresh=False):
+    """``_directions`` of one row [s; y; g]: d, its slope g.d and g.g."""
+    out = np.empty((1, len(g)))
+    slopes, g_sqs = mmes_search._directions(np.stack([s, y, g])[None], [fresh],
+                                            np.empty((1, 2, 3)), out)
+    return out[0], slopes[0], g_sqs[0]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_direction_is_the_dense_memoryless_bfgs_step(n):
+    rng = np.random.default_rng(401 + n)
+    eye = np.eye(2 << n)
+    for _ in range(4):
+        s, y, g = rng.standard_normal((3, 2 << n))
+        y *= np.sign(s @ y) * rng.uniform(0.1, 10)  # s.y > 0 and gamma away from 1
+        rho, gamma = 1 / (s @ y), (s @ y) / (y @ y)
+        h = ((eye - rho * np.outer(s, y)) @ (gamma * eye) @ (eye - rho * np.outer(y, s))
+             + rho * np.outer(s, s))
+        expected = -h @ g
+        d, slope, g_sq = direction(s, y, g)
+        assert np.linalg.norm(d - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert abs(slope - g @ expected) <= 1e-12 * abs(g @ expected) and slope < 0
+        assert abs(g_sq - g @ g) <= 1e-12 * (g @ g)
+
+
+def test_direction_falls_back_to_minus_the_gradient():
+    rng = np.random.default_rng(409)
+    s, y, g = rng.standard_normal((3, 32))
+    y *= np.sign(s @ y)
+    assert not np.array_equal(direction(s, y, g)[0], -g)
+    split = np.r_[np.ones(16), np.zeros(16)]
+    cases = [
+        (s, y, g, True),  # a restart's first move: s and y are no move
+        (s, -y, g, False),  # s.y < 0
+        (s * split, y * (1 - split), g, False),  # s.y == 0
+        # g.g and every product with g underflow, so g.d >= 0 as computed
+        (s, y, 1e-200 * g, False),
+    ]
+    for s_, y_, g_, fresh in cases:
+        d, slope, g_sq = direction(s_, y_, g_, fresh)
+        np.testing.assert_array_equal(d, -g_)
+        assert slope == -g_sq
+
+
+def test_an_eight_qubit_job_stays_within_its_value_pass_budget():
+    # 811 value passes with the Barzilai-Borwein step this replaced
+    result = minimize_potential(MinimizeConfig(n_qubits=8, restarts=2, seed=0))
+    assert sum(result.evaluations) <= 400
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_spread_inverts_the_gather(n):
     gather, spread = mmes_search._tables(n)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -272,10 +273,45 @@ def test_local_unitary_rejects_non_unitary():
         apply_local_unitary(state, 1, np.array([[1, 1], [0, 1]]))
 
 
+def test_local_unitary_rejects_non_finite_entries():
+    state = make_state(2, [1, 0, 0, 0])
+    with pytest.raises(NonUnitaryError, match="not unitary"):
+        apply_local_unitary(state, 1, [[1, 0], [0, np.nan]])
+
+
 def test_local_unitary_rejects_bad_qubit():
     state = make_state(2, [1, 0, 0, 0])
     with pytest.raises(SubsetError):
         apply_local_unitary(state, 3, np.eye(2))
+
+
+@pytest.mark.parametrize("qubit", [1.0, True, np.True_, "1", None],
+                         ids=["float", "bool", "numpy-bool", "str", "none"])
+def test_local_unitary_rejects_mistyped_qubit(qubit):
+    state = make_state(2, [1, 0, 0, 0])
+    with pytest.raises(SubsetError, match="qubit must be an integer"):
+        apply_local_unitary(state, qubit, np.eye(2))
+
+
+@pytest.mark.parametrize("u", [
+    [[1, 0], [0, "a"]],
+    [[1, 0], [0, "1"]],
+    [[1, 0], [0, None]],
+    [[1, 0], [0]],
+    np.eye(2, dtype=bool),
+    np.array([[1, 0], [0, Fraction(1)]], dtype=object),
+], ids=["letter", "numeric-str", "none", "ragged", "bool", "object"])
+def test_local_unitary_rejects_entries_that_are_not_numbers(u):
+    state = make_state(2, [1, 0, 0, 0])
+    with pytest.raises(NonUnitaryError, match="matrix of numbers"):
+        apply_local_unitary(state, 1, u)
+
+
+@pytest.mark.parametrize("qubit", [2, np.int64(2), np.uint8(2)], ids=["int", "int64", "uint8"])
+def test_local_unitary_takes_python_and_numpy_int_qubits(qubit):
+    state = make_state(2, [1, 0, 0, 0])
+    out = apply_local_unitary(state, qubit, [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(out.amplitudes, [0, 1, 0, 0])
 
 
 # ---------------------------------------------------------------------------
