@@ -31,14 +31,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    FormatError,
-    KetEvalError,
-    KetSyntaxError,
-    KetTypeError,
-    KetWidthError,
-)
-from .qstate import MAX_QUBITS, OMEGA, NormalizePolicy, PureState, make_state
+from .errors import (ConfigError, FormatError, KetEvalError, KetSyntaxError, KetTypeError,
+                     KetWidthError)
+from .qstate import MAX_QUBITS, OMEGA, NormalizePolicy, PureState, _integer, make_state
 
 Span = tuple[int, int]
 
@@ -350,8 +345,10 @@ def format_ket(state: PureState, precision: int = 17) -> str:
     """Canonical expression: nonzero terms in index order, ``(re+im*i)`` amplitudes.
 
     At precision 17 the formatted text evaluates back to the exact
-    amplitudes.
+    amplitudes; a precision other than a non-negative integer raises ConfigError.
     """
+    if _integer(precision, "precision", ConfigError) < 0:
+        raise ConfigError(f"precision must be >= 0, got {precision}")
     n = state.n_qubits
     terms = []
     for i, a in enumerate(state.amplitudes):

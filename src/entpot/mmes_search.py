@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateStateError, DimensionError, FormatError,
                      NormalizationError)
-from .qstate import PureState
+from .qstate import PureState, _integer, _numbers
 from .reduction import _CHUNK_ELEMENTS, CACHED_INDEX_QUBITS, balanced_index, gram
 
 #: Armijo sufficient-decrease constant, step shrink factor, and the step
@@ -74,14 +74,8 @@ def _decode(point: np.ndarray) -> tuple[np.ndarray, int]:
 
     Its |c|^2 must lie in ``_NORM_SQ_RANGE``, checked before any pass runs.
     """
-    try:
-        point = np.asarray(point)
-    except ValueError as exc:  # numpy's "inhomogeneous shape"
-        raise DimensionError(f"point must be a flat sequence of 2**(n+1) real numbers: "
-                             f"{exc}") from None
-    if point.dtype.kind not in "iuf":
-        raise FormatError(f"point must hold real numbers, got dtype {point.dtype}; it is the "
-                          "interleaved real encoding of a state (encode_state)")
+    what = "a flat sequence of 2**(n+1) real numbers, a state's encoding (encode_state)"
+    point = _numbers(point, "iuf", FormatError, what, ragged=DimensionError)
     point = np.ascontiguousarray(point, dtype=np.float64)
     n = point.size.bit_length() - 2
     if point.ndim != 1 or point.size & (point.size - 1) or not 2 <= n <= CACHED_INDEX_QUBITS:
@@ -283,9 +277,8 @@ class MinimizeConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # numpy ints overflow the seed mask
+            # a Python int: numpy ints overflow the seed mask
+            object.__setattr__(self, name, _integer(value, name, ConfigError))
         if not 2 <= self.n_qubits <= CACHED_INDEX_QUBITS:
             raise ConfigError(f"n_qubits must be in 2..{CACHED_INDEX_QUBITS}, got "
                               f"{self.n_qubits}; {_LARGER_STATES}")
@@ -452,7 +445,8 @@ def _round(work: _Work, prefix: Callable[[int], _Work], live: list[_Restart], p:
 
 
 def minimize_potential(config: MinimizeConfig) -> MinimizeResult:
-    """Multi-start minimization; deterministic given (config, seed).
+    """Multi-start minimization; deterministic given (config, seed), for a
+    fixed BLAS thread count.
 
     Each restart draws its starting point from its own stream seeded by
     (seed, restart index), and its result depends on those alone, bit for

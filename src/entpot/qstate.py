@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Literal
+from typing import Callable, Iterable, Iterator, Literal
 
 import numpy as np
 
@@ -56,14 +56,46 @@ def states_of_width(amps, n: int, error: type[Exception], expected: str,
     raise error(f"{expected}, got {what}")
 
 
-def _check_qubit_count(n_qubits: int) -> None:
-    """Reject a non-integer or bool count, or one outside 1..MAX_QUBITS, before allocating."""
-    if isinstance(n_qubits, bool) or not isinstance(n_qubits, (int, np.integer)):
-        raise DimensionError(f"n_qubits must be an integer, got {n_qubits!r}")
-    if n_qubits < 1:
-        raise DimensionError(f"n_qubits must be >= 1, got {n_qubits}")
-    if n_qubits > MAX_QUBITS:
-        raise DimensionError(f"{n_qubits} qubits exceed the limit of {MAX_QUBITS}")
+def _integer(value, name: str, error: type[Exception]) -> int:
+    """``value`` as a Python int; a bool, float, text or None raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _numbers(value, kinds: str, error: type[Exception], what: str,
+             ragged: type[Exception] | None = None) -> np.ndarray:
+    """``np.asarray(value)`` of a dtype kind in ``kinds`` and with no bool, else
+    ``error``; a ragged nesting raises ``ragged`` (default ``error``)."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise (ragged or error)(f"expected {what}, got a ragged sequence") from None
+    if array.dtype.kind not in kinds:
+        raise error(f"expected {what}, got dtype {array.dtype}")
+    # numpy reads a bool beside numbers as 0 or 1; an ndarray has no bools left to find
+    if not isinstance(value, np.ndarray) and {bool, np.bool_} & set(
+            map(type, np.asarray(value, object).flat)):
+        raise error(f"expected {what}, got a bool")
+    return array
+
+
+def _check_qubit_count(n_qubits: int) -> int:
+    """``n_qubits`` as a Python int in 1..MAX_QUBITS, else DimensionError before allocating."""
+    n = _integer(n_qubits, "n_qubits", DimensionError)
+    if not 1 <= n <= MAX_QUBITS:
+        raise DimensionError(f"n_qubits must be 1 up to the limit of {MAX_QUBITS}, got {n}")
+    return n
+
+
+def _finite_amplitudes(n: int, amplitudes) -> np.ndarray:
+    """A complex128 copy of ``amplitudes``, which must be 2^n finite numbers."""
+    amps = np.array(_numbers(amplitudes, "iufc", FormatError, "numbers"), dtype=np.complex128)
+    if amps.ndim != 1 or amps.size != 1 << n:
+        raise DimensionError(f"expected {1 << n} amplitudes for n={n}, got shape {amps.shape}")
+    if not np.all(np.isfinite(amps)):
+        raise NormalizationError("amplitudes must be finite numbers")
+    return amps
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,17 +110,9 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        _check_qubit_count(self.n_qubits)
         # a Python int: json cannot encode a numpy one in analyze's report
-        object.__setattr__(self, "n_qubits", int(self.n_qubits))
-        amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size != 1 << self.n_qubits:
-            raise DimensionError(
-                f"expected {1 << self.n_qubits} amplitudes for n={self.n_qubits}, "
-                f"got shape {amps.shape}"
-            )
-        if not np.all(np.isfinite(amps)):
-            raise NormalizationError("amplitudes must be finite numbers")
+        object.__setattr__(self, "n_qubits", _check_qubit_count(self.n_qubits))
+        amps = _finite_amplitudes(self.n_qubits, self.amplitudes)
         nrm = float(np.linalg.norm(amps))
         if abs(nrm - 1.0) > NORM_TOL:
             raise NormalizationError(f"state norm {nrm!r} is not 1 within {NORM_TOL}")
@@ -115,17 +139,10 @@ def make_state(
     """
     if normalize_policy not in ("strict", "renormalize"):
         raise ConfigError(f"unknown normalize_policy {normalize_policy!r}")
-    _check_qubit_count(n_qubits)
-    # an ndarray converts in one step; list() would box every amplitude
-    if not isinstance(amplitudes, np.ndarray):
-        amplitudes = list(amplitudes)
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    if amps.size != 1 << n_qubits:
-        raise DimensionError(
-            f"expected {1 << n_qubits} amplitudes for n={n_qubits}, got {amps.size}"
-        )
-    if not np.all(np.isfinite(amps)):
-        raise NormalizationError("amplitudes must be finite numbers")
+    n = _check_qubit_count(n_qubits)
+    # np.asarray would wrap a one-pass iterator (a generator) as one object
+    amps = _finite_amplitudes(n, list(amplitudes) if isinstance(amplitudes, Iterator)
+                              else amplitudes)
     # dividing by the largest modulus first keeps the squares in the norm
     # from underflowing or overflowing
     scale = float(np.max(np.abs(amps)))
@@ -135,15 +152,14 @@ def make_state(
         # divide the real and imaginary parts: a complex array divided by a
         # real scalar is multiplied by 1/scale, which overflows for a
         # subnormal scale, while no part exceeds scale in modulus
-        amps = (np.ascontiguousarray(amps).view(np.float64) / scale).view(np.complex128)
+        amps = (amps.view(np.float64) / scale).view(np.complex128)
         amps /= np.linalg.norm(amps)
-    return PureState(n_qubits, amps)
+    return PureState(n, amps)
 
 
 def random_state(n_qubits: int, rng: np.random.Generator) -> PureState:
     """Rotation-invariant random pure state: normal re/im parts, normalized."""
-    _check_qubit_count(n_qubits)
-    dim = 1 << n_qubits
+    dim = 1 << _check_qubit_count(n_qubits)
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState(n_qubits, z / np.linalg.norm(z))
 
@@ -151,21 +167,14 @@ def random_state(n_qubits: int, rng: np.random.Generator) -> PureState:
 def apply_local_unitary(state: PureState, qubit: int, u: np.ndarray) -> PureState:
     """Apply a 2x2 unitary to one qubit (1-based, qubit 1 = most significant bit)."""
     n = state.n_qubits
-    if isinstance(qubit, bool) or not isinstance(qubit, (int, np.integer)):
-        raise SubsetError(f"qubit must be an integer, got {qubit!r}")
+    qubit = _integer(qubit, "qubit", SubsetError)
     if not 1 <= qubit <= n:
         raise SubsetError(f"qubit {qubit} out of range 1..{n}")
-    try:
-        u = np.asarray(u)
-    except ValueError as exc:  # numpy's "inhomogeneous shape"
-        raise NonUnitaryError(f"expected a 2x2 matrix of numbers: {exc}") from None
-    # complex() would parse "1" and read None as nan
-    if u.dtype.kind not in "iufc":
-        raise NonUnitaryError(f"expected a 2x2 matrix of numbers, got dtype {u.dtype}")
-    u = u.astype(np.complex128)
+    u = _numbers(u, "iufc", NonUnitaryError, "a 2x2 matrix of numbers").astype(np.complex128)
     if u.shape != (2, 2):
         raise NonUnitaryError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= UNITARY_TOL:  # nan fails too
+    # nan fails the comparison; an inf entry must not reach the product
+    if not (np.isfinite(u).all() and np.max(np.abs(u.conj().T @ u - np.eye(2))) <= UNITARY_TOL):
         raise NonUnitaryError("matrix is not unitary within 1e-12")
     a = state.amplitudes.reshape(1 << (qubit - 1), 2, -1)
     out = np.einsum("ab,ibj->iaj", u, a).reshape(-1)
@@ -270,10 +279,7 @@ def state_from_json_dict(
 ) -> PureState:
     if not isinstance(data, dict) or "n" not in data or "amplitudes" not in data:
         raise FormatError("state JSON must be an object with 'n' and 'amplitudes'")
-    n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise FormatError(f"'n' must be an integer, got {type(n).__name__}")
-    _check_qubit_count(n)
+    n = _check_qubit_count(_integer(data["n"], "'n'", FormatError))  # before any amplitude
     pairs = data["amplitudes"]
     try:
         # complex(re, im) takes no strings, so "10" is not read as the pair (1, 0)

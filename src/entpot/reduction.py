@@ -90,7 +90,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ArityError, DimensionError, SubsetError
-from .qstate import MAX_QUBITS, PureState, states_of_width
+from .qstate import MAX_QUBITS, PureState, _check_qubit_count, _integer, _numbers, states_of_width
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -104,16 +104,17 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=np.complex128)
+        object.__setattr__(self, "kept_qubits", tuple(_kept_qubits(self.kept_qubits)))
+        m = np.array(_numbers(self.entries, "iufc", SubsetError, "numbers"), dtype=np.complex128)
         dim = 1 << len(self.kept_qubits)
         if m.shape != (dim, dim):
-            raise SubsetError(
-                f"expected a {dim}x{dim} matrix for {len(self.kept_qubits)} kept "
-                f"qubits, got shape {m.shape}"
-            )
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise SubsetError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
+            raise SubsetError(f"expected a {dim}x{dim} matrix for {len(self.kept_qubits)} kept "
+                              f"qubits, got shape {m.shape}")
+        # nan fails the comparisons; an inf entry must not reach the difference
+        if not (np.isfinite(m).all() and np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL):
+            raise SubsetError("density matrix is not finite and Hermitian within 1e-12")
+        trace = np.trace(m)
+        if not (abs(trace.real - 1.0) <= TRACE_TOL and abs(trace.imag) <= TRACE_TOL):
             raise SubsetError("density matrix trace is not 1 within 1e-12")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -173,23 +174,23 @@ def _gather_index(n: int, keep: tuple[int, ...]) -> np.ndarray:
     return np.arange(1 << n).reshape((2,) * n).transpose(axes).reshape(1 << len(keep), -1)
 
 
-@lru_cache(maxsize=None)
 def balanced_subsets(n: int) -> tuple[tuple[int, ...], ...]:
-    """All C(n, floor(n/2)) qubit subsets of size floor(n/2), ascending order."""
-    if n < 2:
+    """All C(n, floor(n/2)) qubit subsets of size floor(n/2), ascending order,
+    for an integer n in 2..``MAX_QUBITS``, checked before any is listed."""
+    if _integer(n, "n_qubits", DimensionError) < 2:
         raise ArityError(f"no balanced bipartition exists for n={n}")
-    return tuple(combinations(range(1, n + 1), n // 2))
+    return _balanced_subsets(_check_qubit_count(n))
+
+
+_balanced_subsets = lru_cache(maxsize=None)(lambda n: tuple(combinations(range(1, n + 1), n // 2)))
 
 
 def _kernel_subsets(n: int) -> tuple[tuple[int, ...], ...]:
     """The subsets whose purities the kernel computes: all of
     ``balanced_subsets(n)`` for odd n. For even n, its first half, the subsets
     holding qubit 1: the second half lists their complements in reverse
-    order, and Tr rho_A^2 = Tr rho_Abar^2. Above ``MAX_QUBITS`` it raises
-    before building anything."""
-    if n > MAX_QUBITS:
-        raise DimensionError(f"{n} qubits exceed the limit of {MAX_QUBITS}")
-    subsets = balanced_subsets(n)
+    order, and Tr rho_A^2 = Tr rho_Abar^2. n is checked before anything is built."""
+    subsets = balanced_subsets(_check_qubit_count(n))
     return subsets[: len(subsets) // 2] if n % 2 == 0 else subsets
 
 
@@ -252,19 +253,20 @@ def gram_purities(m: np.ndarray, conj: np.ndarray | None = None,
     return np.einsum("...i,...i->...", parts, parts)
 
 
+def _kept_qubits(keep: Iterable[int]) -> list[int]:
+    """``keep`` as Python ints; int() would read 1.9 as qubit 1 and "2" as qubit 2."""
+    try:
+        return [_integer(q, "kept qubit", SubsetError) for q in keep]
+    except (TypeError, SubsetError):
+        raise SubsetError(f"kept qubits must be integers in an iterable, got {keep!r}") from None
+
+
 def _canonical_subset(n: int, keep: Iterable[int]) -> tuple[int, ...]:
-    qubits = list(keep)
-    for q in qubits:
-        # int() would truncate 1.9 to qubit 1 and parse "2" as qubit 2
-        if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
-            raise SubsetError(f"kept qubits must be integers, got {q!r}")
-    subset = tuple(sorted(set(int(q) for q in qubits)))
-    if not subset:
-        raise SubsetError("keep set must be non-empty")
+    subset = tuple(sorted(set(_kept_qubits(keep))))
+    if not 0 < len(subset) < n:
+        raise SubsetError(f"keep set {subset} must be a non-empty proper subset of 1..{n}")
     if subset[0] < 1 or subset[-1] > n:
         raise SubsetError(f"keep set {subset} out of range 1..{n}")
-    if len(subset) == n:
-        raise SubsetError("keep set must be a proper subset of the qubits")
     return subset
 
 
@@ -278,7 +280,8 @@ def reduced_density(state: PureState, keep: Iterable[int]) -> DensityMatrix:
 
 def purity(rho: DensityMatrix | np.ndarray) -> float:
     """Tr(rho^2) as the squared Frobenius norm, exact for Hermitian rho."""
-    m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    m = rho.entries if isinstance(rho, DensityMatrix) else _numbers(rho, "iufc", SubsetError,
+                                                                    "numbers")
     return float(np.real(np.vdot(m, m)))
 
 

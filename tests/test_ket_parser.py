@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entpot.errors import (
+    ConfigError,
     DegenerateStateError,
     KetEvalError,
     KetSyntaxError,
@@ -95,6 +96,13 @@ def test_format_cluster_sign():
     assert text.count("|") == 4
     assert "(-0.5+0*i)*|1111>" in text
     assert "(0.5+0*i)*|0000>" in text
+
+
+@pytest.mark.parametrize("precision", ["3", -1, 2.5, True, None, np.float64(3)],
+                         ids=["str", "negative", "float", "bool", "none", "numpy-float"])
+def test_format_ket_rejects_a_precision_other_than_a_non_negative_integer(precision):
+    with pytest.raises(ConfigError, match="precision must be"):
+        format_ket(catalog_state("hs", "omega"), precision)
 
 
 def test_round_trip_random_states():

@@ -268,6 +268,7 @@ def test_config_validation():
     ("n_qubits", 4.0), ("n_qubits", 4.5), ("n_qubits", "4"), ("n_qubits", True),
     ("restarts", 2.5), ("restarts", np.float64(2)), ("restarts", True),
     ("seed", 1.5), ("seed", "0"), ("seed", None), ("seed", np.True_),
+    ("n_qubits", None), ("restarts", [2]), ("seed", 1j),
 ])
 def test_mistyped_config_raises_config_error(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be an integer"):

@@ -30,6 +30,7 @@ from entpot.qstate import (
     state_from_json_dict,
     state_to_json_dict,
 )
+from entpot.reduction import balanced_subsets
 
 from helpers import random_unitary
 
@@ -119,6 +120,22 @@ def test_make_state_rejects_non_finite(policy, bad):
         make_state(1, [bad, 0], policy)
 
 
+@pytest.mark.parametrize("build", [PureState, make_state])
+@pytest.mark.parametrize("amplitudes", [["1", "0"], "10", [1, None], None, [[1, 0], [1]],
+                                        [True, False], [True, 0], [1, np.bool_(False)]],
+                         ids=["strs", "str", "none-entry", "none", "ragged", "bools",
+                              "bool-among-numbers", "numpy-bool-among-numbers"])
+def test_amplitudes_that_are_not_numbers_raise_format_error(build, amplitudes):
+    with pytest.raises(FormatError, match="expected numbers"):
+        build(1, amplitudes)
+
+
+def test_a_number_in_place_of_the_amplitudes_raises_dimension_error():
+    for build in (PureState, make_state):
+        with pytest.raises(DimensionError, match=r"got shape \(\)"):
+            build(1, 5)
+
+
 def test_pure_state_rejects_non_finite():
     with pytest.raises(NormalizationError):
         PureState(1, np.array([np.nan, 0]))
@@ -148,8 +165,12 @@ BASIS4 = [1] + [0] * 15
     (lambda: random_state(4.0, np.random.default_rng(0)), "4.0"),
     (lambda: PureState("4", BASIS4), "'4'"),
     (lambda: PureState(True, [1, 0]), "True"),
+    (lambda: balanced_subsets(4.0), "4.0"),
+    (lambda: balanced_subsets("4"), "'4'"),
+    (lambda: balanced_subsets(None), "None"),
 ], ids=["pure-state-float", "make-state-float", "random-state-float", "pure-state-str",
-        "pure-state-bool"])
+        "pure-state-bool", "balanced-subsets-float", "balanced-subsets-str",
+        "balanced-subsets-none"])
 def test_mistyped_qubit_count_raises_dimension_error(build, shown):
     with pytest.raises(DimensionError, match=f"n_qubits must be an integer, got {shown}"):
         build()
@@ -285,8 +306,9 @@ def test_local_unitary_rejects_bad_qubit():
         apply_local_unitary(state, 3, np.eye(2))
 
 
-@pytest.mark.parametrize("qubit", [1.0, True, np.True_, "1", None],
-                         ids=["float", "bool", "numpy-bool", "str", "none"])
+@pytest.mark.parametrize("qubit", [1.0, True, np.True_, "1", None, np.float64(1.0), 1 + 0j],
+                         ids=["float", "bool", "numpy-bool", "str", "none", "numpy-float",
+                              "complex"])
 def test_local_unitary_rejects_mistyped_qubit(qubit):
     state = make_state(2, [1, 0, 0, 0])
     with pytest.raises(SubsetError, match="qubit must be an integer"):
@@ -300,7 +322,8 @@ def test_local_unitary_rejects_mistyped_qubit(qubit):
     [[1, 0], [0]],
     np.eye(2, dtype=bool),
     np.array([[1, 0], [0, Fraction(1)]], dtype=object),
-], ids=["letter", "numeric-str", "none", "ragged", "bool", "object"])
+    [[True, 0], [0, 1]],
+], ids=["letter", "numeric-str", "none", "ragged", "bool", "object", "bool-among-numbers"])
 def test_local_unitary_rejects_entries_that_are_not_numbers(u):
     state = make_state(2, [1, 0, 0, 0])
     with pytest.raises(NonUnitaryError, match="matrix of numbers"):

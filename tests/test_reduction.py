@@ -176,9 +176,9 @@ def test_subset_validation():
 
 
 @pytest.mark.parametrize("keep", [[1.9], [1.0], ["2"], "2", [True], [np.float64(1.0)], [np.True_],
-                                  [1, 2.0]],
+                                  [1, 2.0], 1, None],
                          ids=["float", "whole-float", "str", "str-keep", "bool", "np-float", "np-bool",
-                              "mixed"])
+                              "mixed", "int-keep", "none-keep"])
 def test_mistyped_kept_qubits_raise_subset_error(keep):
     state = catalog_state("yc", "signs")
     with pytest.raises(SubsetError, match="kept qubits must be integers"):
@@ -203,6 +203,27 @@ def test_density_matrix_rejects_non_hermitian():
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(SubsetError):
         DensityMatrix((1,), np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize("kept, entries", [
+    ((1,), [[np.nan, 0], [0, 0.5]]),
+    ((1,), [[np.inf, 0], [0, 0.5]]),
+    (("a",), np.eye(2) / 2),
+    ((1.5,), np.eye(2) / 2),
+    (5, np.eye(2) / 2),
+    ((1,), [["0.5", "0"], ["0", "0.5"]]),
+    ((1,), [[0.5, 0], [0]]),
+], ids=["nan", "inf", "str-qubit", "float-qubit", "not-iterable", "str-entries", "ragged"])
+def test_density_matrix_rejects_mistyped_or_non_finite_input(kept, entries):
+    with pytest.raises(SubsetError):
+        DensityMatrix(kept, entries)
+
+
+@pytest.mark.parametrize("rho", ["a", [[1, 0], [0]], [["1", "0"], ["0", "0"]], None],
+                         ids=["str", "ragged", "strs", "none"])
+def test_purity_takes_numbers_only(rho):
+    with pytest.raises(SubsetError, match="expected numbers"):
+        purity(rho)
 
 
 def test_subset_order_and_duplicates_canonicalized():
